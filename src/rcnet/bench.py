@@ -22,6 +22,9 @@ from .tensor import Tensor, add, roll, scale
 #: scale offsets read by kernel taps 1..5 of the five-tap circulant conv
 TAP_OFFSETS = (-2, -1, 0, 1, 2)
 
+#: fewest timed repetitions a median is taken over
+MIN_REPS = 10
+
 
 def shift_weighted_sum(S: Tensor, weights) -> Tensor:
     """Five-tap weighted sum over circulant scale shifts of the full stack.
@@ -106,10 +109,10 @@ def _median_ns(fn, reps: int, warmup: int = 3) -> int:
     return int(median(times))
 
 
-def bench_shift(cfg: NeckConfig, reps: int = 10) -> BenchResult:
+def bench_shift(cfg: NeckConfig, reps: int = MIN_REPS) -> BenchResult:
     """Time `scale_shift` against the dense conv that routes identically."""
-    if reps < 10:
-        raise ValueError(f"bench_shift: need at least 10 repetitions, got {reps}")
+    if reps < MIN_REPS:
+        raise ValueError(f"bench_shift: need at least {MIN_REPS} repetitions, got {reps}")
     plan = ShiftPlan.for_config(cfg)
     hk, wk = cfg.resolution(cfg.k)
     shape = (cfg.batch, cfg.d, cfg.num_levels, hk, wk)

@@ -502,12 +502,24 @@ INVARIANT_CHECKS = {
 }
 
 
-def run_invariants(cfg: NeckConfig, names: list[str] | None = None) -> list[CheckResult]:
-    selected = names or list(INVARIANT_CHECKS)
-    unknown = [n for n in selected if n not in INVARIANT_CHECKS]
+def select_checks(names: list[str] | None, available: list[str]) -> list[str]:
+    """The checks to run: all of `available` when `names` is None.
+
+    An empty selection or an unknown name raises `ValueError`, so a typo
+    can never pass by running nothing.
+    """
+    if names is None:
+        return list(available)
+    if not names:
+        raise ValueError(f"empty check selection; available: {available}")
+    unknown = [n for n in names if n not in available]
     if unknown:
-        raise ValueError(f"unknown checks: {unknown}; available: {list(INVARIANT_CHECKS)}")
-    return [INVARIANT_CHECKS[n](cfg) for n in selected]
+        raise ValueError(f"unknown checks: {unknown}; available: {available}")
+    return names
+
+
+def run_invariants(cfg: NeckConfig, names: list[str] | None = None) -> list[CheckResult]:
+    return [INVARIANT_CHECKS[n](cfg) for n in select_checks(names, list(INVARIANT_CHECKS))]
 
 
 # ---------------------------------------------------------------------------
@@ -582,10 +594,18 @@ def _op_cases(seed: int):
     return cases
 
 
-def gradient_op_checks(seed: int = 7, tol: float = 1e-4, step: float = 1e-5) -> list[CheckResult]:
-    """Finite-difference check of every primitive op on small tensors."""
+def gradient_op_checks(
+    seed: int = 7, tol: float = 1e-4, step: float = 1e-5, ops: list[str] | None = None
+) -> list[CheckResult]:
+    """Finite-difference check of every primitive op (or those in `ops`) on small tensors.
+
+    Every case is built either way, so a selected op sees the same data as
+    in the full sweep.
+    """
     results = []
     for name, (fn, leaves) in _op_cases(fold_seed(seed, "ops")).items():
+        if ops is not None and name not in ops:
+            continue
         proj = Tensor(SplitMix64(fold_seed(seed, f"proj/{name}")).standard_normal(fn().shape))
 
         def build_loss(fn=fn, proj=proj):
@@ -595,6 +615,9 @@ def gradient_op_checks(seed: int = 7, tol: float = 1e-4, step: float = 1e-5) -> 
         worst = max(c.max_rel_err for c in checks)
         results.append(CheckResult(f"grad/{name}", worst <= tol, worst, tol))
     return results
+
+
+END_TO_END = "grad/end_to_end"
 
 
 def gradient_end_to_end_check(
@@ -637,9 +660,20 @@ def gradient_end_to_end_check(
     worst = max(c.max_rel_err for c in checks)
     worst_name = max(checks, key=lambda c: c.max_rel_err).name
     return CheckResult(
-        "grad/end_to_end", worst <= tol, f"{worst:.3e} (worst at {worst_name})", tol
+        END_TO_END, worst <= tol, f"{worst:.3e} (worst at {worst_name})", tol
     )
 
 
-def run_gradient_suite(seed: int = 7) -> list[CheckResult]:
-    return gradient_op_checks(seed) + [gradient_end_to_end_check(seed)]
+def run_gradient_suite(seed: int = 7, names: list[str] | None = None) -> list[CheckResult]:
+    """The op sweep and the end-to-end check, or only the checks in `names`.
+
+    The selection is resolved before anything runs: a named op runs alone,
+    and the end-to-end check runs only when it is named.
+    """
+    available = [f"grad/{op}" for op in _op_cases(seed)] + [END_TO_END]
+    selected = select_checks(names, available)
+    ops = [n.removeprefix("grad/") for n in selected if n != END_TO_END]
+    results = gradient_op_checks(seed, ops=ops) if ops else []
+    if END_TO_END in selected:
+        results.append(gradient_end_to_end_check(seed))
+    return results

@@ -13,8 +13,8 @@ import sys
 import time
 
 from .accounting import count_all
-from .bench import bench_shift
-from .checks import CheckResult, run_gradient_suite, run_invariants
+from .bench import MIN_REPS, bench_shift
+from .checks import CheckResult, run_gradient_suite, run_invariants, select_checks
 from .config import NeckConfig, desk_config, load_config, paper_width
 from .csn import csn_params, rcnet_forward
 from .fixtures import extend_stem, synth_backbone
@@ -23,6 +23,13 @@ from .pyramid import load_pyramid, pyramid_digest, save_pyramid
 from .revfp import revfp_forward, revfp_params
 
 SCHEMA = "rcnet-report/1"
+
+
+def repetitions(text: str) -> int:
+    n = int(text)
+    if n < MIN_REPS:
+        raise argparse.ArgumentTypeError(f"need at least {MIN_REPS} repetitions, got {n}")
+    return n
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -41,7 +48,10 @@ def build_parser() -> argparse.ArgumentParser:
             help="restore full channel widths (d=256, undivided backbone stages)",
         )
         sp.add_argument("--checks", metavar="LIST", help="comma-separated subset of checks")
-        sp.add_argument("--reps", type=int, default=10, metavar="N", help="benchmark repetitions")
+        sp.add_argument(
+            "--reps", type=repetitions, default=MIN_REPS, metavar="N",
+            help=f"benchmark repetitions (at least {MIN_REPS})",
+        )
 
     gen = sub.add_parser("gen-fixtures", help="write a synthetic backbone pyramid as FPZ1")
     gen.add_argument("--fixtures", metavar="PATH", default="fixtures.fpz", help="FPZ1 destination")
@@ -72,12 +82,9 @@ def _load_cfg(args) -> NeckConfig:
 
 
 def _selected(args) -> list[str] | None:
-    return [s.strip() for s in args.checks.split(",") if s.strip()] if args.checks else None
-
-
-def _filter(checks: list[CheckResult], args) -> list[CheckResult]:
-    names = _selected(args)
-    return [c for c in checks if c.name in names] if names else checks
+    if args.checks is None:
+        return None
+    return [s.strip() for s in args.checks.split(",") if s.strip()]
 
 
 def _emit(report: dict, args, force_stdout: bool = False) -> None:
@@ -125,28 +132,32 @@ def cmd_gen_fixtures(args) -> int:
 
 
 def cmd_forward(args) -> int:
+    """One neck forward; `inputs` times the backbone and the stem, `init` the params."""
     cfg = _load_cfg(args)
-    C = load_pyramid(args.fixtures) if args.fixtures else synth_backbone(cfg)
-
-    def complete(store):
-        return extend_stem(C, store, cfg) if cfg.has_stem else C
-
     t0 = time.perf_counter_ns()
+    C = load_pyramid(args.fixtures) if args.fixtures else synth_backbone(cfg)
+    t1 = time.perf_counter_ns()
     if args.model == "fpn":
-        store = fpn_params(cfg)
-        out = fpn_forward(complete(store), store, cfg)
+        stores = [fpn_params(cfg)]
     elif args.model == "revfp":
-        store = revfp_params(cfg)
-        out = revfp_forward(complete(store), store, cfg)
+        stores = [revfp_params(cfg)]
     else:
-        rp = revfp_params(cfg)
-        out = rcnet_forward(complete(rp), cfg, rp, csn_params(cfg))
-    elapsed = time.perf_counter_ns() - t0
+        stores = [revfp_params(cfg), csn_params(cfg)]
+    t2 = time.perf_counter_ns()
+    full = extend_stem(C, stores[0], cfg) if cfg.has_stem else C
+    t3 = time.perf_counter_ns()
+    if args.model == "fpn":
+        out = fpn_forward(full, stores[0], cfg)
+    elif args.model == "revfp":
+        out = revfp_forward(full, stores[0], cfg)
+    else:
+        out = rcnet_forward(full, cfg, *stores)
+    t4 = time.perf_counter_ns()
     report = _report(
         "forward", cfg, [],
         model=args.model,
         digests={"input": pyramid_digest(C), "output": pyramid_digest(out)},
-        timings_ns={"forward": elapsed},
+        timings_ns={"init": t2 - t1, "inputs": (t1 - t0) + (t3 - t2), "forward": t4 - t3},
     )
     _emit(report, args)
     return _exit_code(report)
@@ -155,7 +166,7 @@ def cmd_forward(args) -> int:
 def cmd_grad_check(args) -> int:
     cfg = _load_cfg(args)
     t0 = time.perf_counter_ns()
-    checks = _filter(run_gradient_suite(cfg.seed), args)
+    checks = run_gradient_suite(cfg.seed, _selected(args))
     report = _report(
         "grad-check", cfg, checks, timings_ns={"total": time.perf_counter_ns() - t0}
     )
@@ -176,6 +187,7 @@ def cmd_invariants(args) -> int:
 
 def cmd_count(args) -> int:
     cfg = _load_cfg(args)
+    names = select_checks(_selected(args), ["count_totals_consistent", "shift_zero_cost"])
     t0 = time.perf_counter_ns()
     counts = count_all(cfg)
     totals = counts.module_totals()
@@ -194,7 +206,7 @@ def cmd_count(args) -> int:
         ),
     ]
     report = _report(
-        "count", cfg, _filter(checks, args),
+        "count", cfg, [c for c in checks if c.name in names],
         counts=counts.to_dict(),
         timings_ns={"total": time.perf_counter_ns() - t0},
     )
@@ -204,13 +216,14 @@ def cmd_count(args) -> int:
 
 def cmd_bench_shift(args) -> int:
     cfg = _load_cfg(args)
+    names = select_checks(_selected(args), ["shift_dense_equal", "shift_cheaper"])
     result = bench_shift(cfg, reps=args.reps)
     checks = [
         CheckResult("shift_dense_equal", result.max_abs_diff <= 1e-12, result.max_abs_diff, 1e-12),
         CheckResult("shift_cheaper", result.ratio > 1.0, result.ratio, "> 1"),
     ]
     report = _report(
-        "bench-shift", cfg, _filter(checks, args),
+        "bench-shift", cfg, [c for c in checks if c.name in names],
         bench=result.to_dict(),
         timings_ns={"shift_median": result.shift_ns, "dense_median": result.dense_ns},
     )

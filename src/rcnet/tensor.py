@@ -7,6 +7,13 @@ and refuse to emit NaN/Inf silently.
 
 Recording is explicit: wrap the forward pass in a `Tape` context and call
 `backward(tape, loss)`. Without an active tape, ops run forward-only.
+
+The reverse sweep runs in bounded memory. After `backward`, `.grad` is
+kept on leaves only (tensors that no tape op produced); each interior
+gradient is dropped as soon as its op's vjp has consumed it. A taped
+conv keeps no im2col buffer: its weight vjp rebuilds the buffer from the
+input the tape already holds, and its input vjp accumulates kernel tap
+by kernel tap.
 """
 
 from __future__ import annotations
@@ -170,6 +177,12 @@ def backward(tape: Tape, loss: Tensor):
 
     `loss` must be a scalar produced on this tape. A second sweep without
     `tape.reset()` raises, since grads would silently double.
+
+    Each op's output gradient is taken off its tensor before the op's vjp
+    runs, so afterwards every tensor the swept ops produced, `loss`
+    included, has `grad is None`; only leaves keep theirs. At most the
+    gradients of the tensors still awaiting their producer's vjp are live
+    at any point of the sweep.
     """
     if loss.size != 1:
         raise TapeError(f"loss must be scalar, got shape {loss.shape}")
@@ -184,8 +197,9 @@ def backward(tape: Tape, loss: Tensor):
         raise TapeError("loss is not on the tape (detached graph)")
     loss.grad = np.ones_like(loss.data)
     for out, _, bw in reversed(tape._nodes[: idx + 1]):
-        if out.grad is not None:
-            bw(out.grad)
+        g, out.grad = out.grad, None
+        if g is not None:
+            bw(g)
     tape._spent = True
 
 
@@ -457,30 +471,45 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     Hp = (H + 2 * padding - kh) // stride + 1
     Wp = (W + 2 * padding - kw) // stride + 1
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    cols = np.empty((N, Cin, kh, kw, Hp, Wp), dtype=np.float64)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i : i + stride * Hp : stride, j : j + stride * Wp : stride]
-    out = np.tensordot(weight.data, cols, axes=([1, 2, 3], [1, 2, 3]))
+    taps = [(i, j) for i in range(kh) for j in range(kw)]
+    pointwise = kh == kw == 1 and stride == 1 and padding == 0
+
+    def window(a, i, j):  # the pixels kernel tap (i, j) reads, one per output pixel
+        return a[:, :, i : i + stride * Hp : stride, j : j + stride * Wp : stride]
+
+    def im2col():
+        if pointwise:
+            return x.data[:, :, None, None]  # a view: 1x1 convs copy nothing
+        xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        cols = np.empty((N, Cin, kh, kw, Hp, Wp), dtype=np.float64)
+        for i, j in taps:
+            cols[:, :, i, j] = window(xp, i, j)
+        return cols
+
+    out = np.tensordot(weight.data, im2col(), axes=([1, 2, 3], [1, 2, 3]))
     out = out.transpose(1, 0, 2, 3) + bias.data[None, :, None, None]
 
     counting.add_macs(N * Cout * Hp * Wp * Cin * kh * kw)
 
+    # Neither vjp reads a buffer kept from the forward: the tape holds x, so
+    # the weight vjp rebuilds the im2col buffer, and the input vjp holds one
+    # tap's [Cin, N, Hp, Wp] product at a time.
     def vjp_x(g):
-        gcols = np.tensordot(weight.data, g, axes=([0], [1]))  # [Cin,kh,kw,N,Hp,Wp]
-        gxp = np.zeros_like(xp)
-        for i in range(kh):
-            for j in range(kw):
-                gxp[:, :, i : i + stride * Hp : stride, j : j + stride * Wp : stride] += (
-                    gcols[:, i, j].transpose(1, 0, 2, 3)
-                )
+        def tap_grad(i, j):
+            return np.tensordot(weight.data[:, :, i, j], g, axes=([0], [1])).transpose(1, 0, 2, 3)
+
+        if pointwise:
+            return tap_grad(0, 0)
+        gxp = np.zeros((N, Cin, H + 2 * padding, W + 2 * padding), dtype=np.float64)
+        for i, j in taps:
+            tap = window(gxp, i, j)
+            tap += tap_grad(i, j)
         if padding:
             return gxp[:, :, padding : padding + H, padding : padding + W]
         return gxp
 
     def vjp_w(g):
-        return np.tensordot(g, cols, axes=([0, 2, 3], [0, 4, 5]))
+        return np.tensordot(g, im2col(), axes=([0, 2, 3], [0, 4, 5]))
 
     return _make(
         "conv2d",
@@ -518,16 +547,33 @@ def bilinear_upsample_x2(x: Tensor) -> Tensor:
     rows = x.data[..., rlo, :] * (1.0 - rt_) + x.data[..., rhi, :] * rt_
     out = rows[..., :, clo] * (1.0 - ct_) + rows[..., :, chi] * ct_
 
-    def vjp(g):
-        gw = np.zeros(x.shape[:-2] + (2 * H, W), dtype=np.float64)
-        np.add.at(gw, (Ellipsis, clo), g * (1.0 - ct_))
-        np.add.at(gw, (Ellipsis, chi), g * ct_)
-        gx = np.zeros(x.shape, dtype=np.float64)
-        np.add.at(gx, (Ellipsis, rlo, slice(None)), gw * (1.0 - rt_))
-        np.add.at(gx, (Ellipsis, rhi, slice(None)), gw * rt_)
-        return gx
+    return _make(
+        "bilinear_upsample_x2", out, [(x, lambda g: _up2_adjoint(_up2_adjoint(g, -1), -2))]
+    )
 
-    return _make("bilinear_upsample_x2", out, [(x, vjp)])
+
+def _up2_adjoint(g: np.ndarray, axis: int) -> np.ndarray:
+    """Transpose of the x2 half-pixel upsample along one axis (extent 2n -> n).
+
+    Output 2k reads 1/4 x[k-1] + 3/4 x[k] and output 2k+1 reads
+    3/4 x[k] + 1/4 x[k+1], so input k collects g[2k-1], g[2k], g[2k+1] and
+    g[2k+2] with weights [1/4, 3/4, 3/4, 1/4]. The forward clamps x[-1]
+    to x[0] and x[n] to x[n-1], so the edge inputs also collect the 1/4
+    share of g[0] and of g[2n-1].
+    """
+
+    def at(a, sl):
+        idx = [slice(None)] * a.ndim
+        idx[axis] = sl
+        return a[tuple(idx)]
+
+    even, odd = at(g, slice(0, None, 2)), at(g, slice(1, None, 2))
+    gx = 0.75 * (even + odd)
+    at(gx, slice(1, None))[...] += 0.25 * at(odd, slice(None, -1))  # g[2k-1]
+    at(gx, slice(None, -1))[...] += 0.25 * at(even, slice(1, None))  # g[2k+2]
+    at(gx, slice(None, 1))[...] += 0.25 * at(even, slice(None, 1))  # g[-1] clamps to g[0]
+    at(gx, slice(-1, None))[...] += 0.25 * at(odd, slice(-1, None))  # g[2n] clamps to g[2n-1]
+    return gx
 
 
 def maxpool2d(x: Tensor, k: int, stride: int) -> Tensor:

@@ -155,3 +155,52 @@ def test_report_prints_to_stdout_by_default(mini_cfg_file, capsys):
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert report["command"] == "invariants"
+
+
+def test_grad_check_runs_only_the_named_checks(mini_cfg_file, tmp_path, monkeypatch):
+    calls = []
+    real = checks_mod.check_gradients
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    def not_named(seed):
+        raise AssertionError("end-to-end check ran without being named")
+
+    monkeypatch.setattr(checks_mod, "check_gradients", counted)
+    monkeypatch.setattr(checks_mod, "gradient_end_to_end_check", not_named)
+    out = tmp_path / "grad.json"
+    code = main(["grad-check", "--config", mini_cfg_file, "--out", str(out), "--checks", "grad/add"])
+    assert code == 0
+    assert set(read_report(out)["checks"]) == {"grad/add"}
+    assert len(calls) == 1
+
+
+def test_selected_op_check_matches_full_sweep():
+    full = {c.name: c.measured for c in checks_mod.gradient_op_checks(seed=3)}
+    (one,) = checks_mod.run_gradient_suite(3, ["grad/conv2d_stride2"])
+    assert one.measured == full["grad/conv2d_stride2"]
+
+
+@pytest.mark.parametrize("command", ["grad-check", "count", "invariants", "bench-shift"])
+@pytest.mark.parametrize("selection", ["typo", ",", ""])
+def test_unknown_or_empty_selection_rejected(mini_cfg_file, command, selection):
+    with pytest.raises(ValueError, match="unknown checks|empty check selection"):
+        main([command, "--config", mini_cfg_file, "--checks", selection])
+
+
+@pytest.mark.parametrize("reps", ["3", "0", "-1", "x"])
+def test_bench_shift_too_few_reps_is_a_usage_error(mini_cfg_file, reps, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["bench-shift", "--config", mini_cfg_file, "--reps", reps])
+    assert err.value.code == 2
+    assert "--reps" in capsys.readouterr().err
+
+
+def test_forward_times_init_inputs_and_forward_apart(mini_cfg_file, tmp_path):
+    out = tmp_path / "fwd.json"
+    assert main(["forward", "rcnet", "--config", mini_cfg_file, "--out", str(out)]) == 0
+    timings = read_report(out)["timings_ns"]
+    assert set(timings) == {"init", "inputs", "forward"}
+    assert all(v > 0 for v in timings.values())

@@ -1,8 +1,11 @@
 """Forward semantics of the tensor core against independent oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from rcnet.gradcheck import check_gradients
 from rcnet.rng import SplitMix64
 from rcnet.tensor import (
     NonFiniteError,
@@ -21,6 +24,7 @@ from rcnet.tensor import (
     maxpool2d,
     mul,
     relu,
+    reshape,
     scale,
     sigmoid,
     softmax,
@@ -146,6 +150,44 @@ class TestConv2d:
         with pytest.raises(ValueError, match="non-integer output extent"):
             conv2d(x, w, Tensor(np.zeros(1)), stride=2, padding=1)
 
+    @pytest.mark.parametrize(
+        "x_shape,w_shape,stride,padding",
+        [
+            ((2, 3, 4, 5), (2, 3, 1, 1), 1, 0),  # pointwise: no im2col
+            ((1, 2, 5, 7), (3, 2, 3, 3), 2, 1),
+            ((2, 2, 4, 6), (2, 2, 3, 5), 1, 1),
+            ((1, 3, 5, 3), (2, 3, 1, 1), 2, 0),  # 1x1 strided takes the im2col path
+        ],
+    )
+    def test_gradients_match_finite_differences(self, x_shape, w_shape, stride, padding):
+        x = Tensor(rand(x_shape, seed=31), requires_grad=True, name="x")
+        w = Tensor(rand(w_shape, seed=32), requires_grad=True, name="w")
+        b = Tensor(rand((w_shape[0],), seed=33), requires_grad=True, name="b")
+        proj = Tensor(rand(conv2d(x, w, b, stride, padding).shape, seed=34))
+
+        def build_loss():
+            return tsum(mul(conv2d(x, w, b, stride, padding), proj))
+
+        for result in check_gradients(build_loss, [x, w, b], max_coords=512):
+            assert result.passed, result
+
+    def test_taped_conv_keeps_no_im2col_buffer(self):
+        n, c, h, w = 1, 8, 32, 32
+        x = Tensor(rand((n, c, h, w), seed=35), requires_grad=True)
+        wt = Tensor(rand((c, c, 3, 3), seed=36), requires_grad=True)
+        b = Tensor(np.zeros(c), requires_grad=True)
+        cols_bytes = n * c * 9 * h * w * 8
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                before = tracemalloc.get_traced_memory()[0]
+                out = conv2d(x, wt, b, padding=1)
+                kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(tape) == 1 and out.requires_grad
+        assert kept < cols_bytes, f"taped conv keeps {kept} bytes; its im2col is {cols_bytes}"
+
     def test_even_kernel_rejected(self):
         with pytest.raises(ValueError, match="odd"):
             conv2d(
@@ -185,6 +227,19 @@ class TestBilinearUpsample:
         x = rand((1, 2, 4, 5), seed=7)
         got = bilinear_upsample_x2(Tensor(x)).data
         assert np.max(np.abs(got - upsample2_reference(x))) <= 1e-12
+
+    @pytest.mark.parametrize("lead", [(2, 3), (1, 2, 3)], ids=["4d", "5d"])
+    @pytest.mark.parametrize("h,w", [(1, 1), (2, 3), (3, 5), (5, 2), (1, 5)])
+    def test_backward_is_the_adjoint(self, lead, h, w):
+        # <up(x), g> == <x, up^T(g)>, with up(x) from the per-pixel formula
+        x = Tensor(rand(lead + (h, w), seed=h * 10 + w), requires_grad=True)
+        g = rand(lead + (2 * h, 2 * w), seed=99)
+        with Tape() as tape:
+            loss = tsum(mul(bilinear_upsample_x2(x), Tensor(g)))
+        backward(tape, loss)
+        lhs = float(np.sum(upsample2_reference(x.data) * g))
+        rhs = float(np.sum(x.data * x.grad))
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
 class TestMaxPool:
@@ -376,6 +431,36 @@ class TestTape:
         tape.reset()
         backward(tape, loss)
         assert np.array_equal(x.grad, np.ones(2))
+
+    @staticmethod
+    def _graph():
+        """A small graph with a shared leaf, a conv, an upsample and a reshape."""
+        x = Tensor(rand((1, 2, 3, 3), seed=40), requires_grad=True)
+        w = Tensor(rand((2, 2, 3, 3), seed=41), requires_grad=True)
+        b = Tensor(rand((2,), seed=42), requires_grad=True)
+        tape = Tape()
+        with tape:
+            y = conv2d(x, w, b, padding=1)
+            u = bilinear_upsample_x2(relu(add(y, x)))
+            loss = tsum(mul(reshape(u, (2, 36)), Tensor(rand((2, 36), seed=43))))
+        return tape, loss, [x, w, b], [y, u, loss]
+
+    def test_backward_keeps_grads_on_leaves_only(self):
+        tape, loss, leaves, interior = self._graph()
+        backward(tape, loss)
+        assert all(leaf.grad is not None for leaf in leaves)
+        assert all(out.grad is None for out, _, _ in tape._nodes)
+        assert all(t.grad is None for t in interior)
+
+    def test_reset_then_backward_repeats_bitwise(self):
+        tape, loss, leaves, _ = self._graph()
+        backward(tape, loss)
+        first = [leaf.grad.copy() for leaf in leaves]
+        tape.reset()
+        assert all(leaf.grad is None for leaf in leaves)
+        backward(tape, loss)
+        for got, want in zip([leaf.grad for leaf in leaves], first):
+            assert np.array_equal(got, want)
 
     def test_non_scalar_loss_rejected(self):
         x = Tensor(rand((2,), seed=25), requires_grad=True)

@@ -502,19 +502,23 @@ INVARIANT_CHECKS = {
 }
 
 
+class SelectionError(ValueError):
+    """A check selection that is empty or names an unknown check."""
+
+
 def select_checks(names: list[str] | None, available: list[str]) -> list[str]:
     """The checks to run: all of `available` when `names` is None.
 
-    An empty selection or an unknown name raises `ValueError`, so a typo
-    can never pass by running nothing.
+    An empty selection or an unknown name raises `SelectionError`, so a
+    typo can never pass by running nothing.
     """
     if names is None:
         return list(available)
     if not names:
-        raise ValueError(f"empty check selection; available: {available}")
+        raise SelectionError(f"empty check selection; available: {available}")
     unknown = [n for n in names if n not in available]
     if unknown:
-        raise ValueError(f"unknown checks: {unknown}; available: {available}")
+        raise SelectionError(f"unknown checks: {unknown}; available: {available}")
     return names
 
 

@@ -2,7 +2,10 @@
 
 Every subcommand reads a JSON config (defaulting to the built-in desk
 config), runs, and emits a single JSON report. The exit code is 0 exactly
-when every enabled check in the report passed.
+when every enabled check in the report passed and 1 when one failed. It
+is 2 for a usage error: argparse rejects a bad flag or value with a usage
+message, and an unknown or empty `--checks` selection writes a report
+with no checks and an `error` field before any check runs.
 """
 
 from __future__ import annotations
@@ -14,7 +17,13 @@ import time
 
 from .accounting import count_all
 from .bench import MIN_REPS, bench_shift
-from .checks import CheckResult, run_gradient_suite, run_invariants, select_checks
+from .checks import (
+    CheckResult,
+    SelectionError,
+    run_gradient_suite,
+    run_invariants,
+    select_checks,
+)
 from .config import NeckConfig, desk_config, load_config, paper_width
 from .csn import csn_params, rcnet_forward
 from .fixtures import extend_stem, synth_backbone
@@ -243,7 +252,12 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return COMMANDS[args.command](args)
+    try:
+        return COMMANDS[args.command](args)
+    except SelectionError as err:
+        report = _report(args.command, _load_cfg(args), [], error=str(err))
+        _emit(report, args)
+        return 2
 
 
 def entry():  # console-script hook

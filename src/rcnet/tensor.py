@@ -10,10 +10,24 @@ Recording is explicit: wrap the forward pass in a `Tape` context and call
 
 The reverse sweep runs in bounded memory. After `backward`, `.grad` is
 kept on leaves only (tensors that no tape op produced); each interior
-gradient is dropped as soon as its op's vjp has consumed it. A taped
-conv keeps no im2col buffer: its weight vjp rebuilds the buffer from the
-input the tape already holds, and its input vjp accumulates kernel tap
-by kernel tap.
+gradient is dropped as soon as its op's vjp has consumed it. A first
+gradient is stored without a copy when the vjp returned an array that
+owns its writeable float64 data and that no other input of the same op
+was handed; anything else (a view, a read-only broadcast, the one array
+`add` gives both inputs) is copied, and accumulation is out of place.
+
+conv2d picks its kernel by shape. A stride-1 conv with a kernel larger
+than 1x1 and fewer output than input channels (the one-channel FGU logit
+conv) contracts the channels first: its buffers hold Cout*kh*kw maps,
+not the Cin*kh*kw of an im2col. Every other conv (the d->d 3x3 convs,
+1x1 convs, strided convs) multiplies an im2col buffer, which does
+better when Cout >= Cin. Neither path keeps a buffer on the tape: the
+im2col weight vjp rebuilds its buffer from the input the tape already
+holds, and the im2col input vjp accumulates kernel tap by kernel tap.
+
+channel_norm is one tape node with a closed-form backward; its forward
+runs the same numpy calls in the same order as the composite of
+elementwise ops it replaced, so its output is bitwise unchanged.
 """
 
 from __future__ import annotations
@@ -203,13 +217,19 @@ def backward(tape: Tape, loss: Tensor):
     tape._spent = True
 
 
-def _accumulate(t: Tensor, g: np.ndarray):
+def _accumulate(t: Tensor, g: np.ndarray, shared: bool):
+    """Add `g` into `t.grad`, keeping a first `g` uncopied only if no one else holds it.
+
+    `shared` marks an array already handed to another input of the same op.
+    """
     if g.shape != t.data.shape:
         raise TapeError(f"gradient shape {g.shape} != tensor shape {t.data.shape}")
-    if t.grad is None:
+    if t.grad is not None:
+        t.grad = t.grad + g
+    elif shared or not (g.flags.owndata and g.flags.writeable and g.dtype == np.float64):
         t.grad = np.array(g, dtype=np.float64, copy=True)
     else:
-        t.grad = t.grad + g
+        t.grad = g
 
 
 def _finite(op: str, arr: np.ndarray) -> np.ndarray:
@@ -230,9 +250,12 @@ def _make(op: str, data: np.ndarray, vjps: Sequence[tuple[Tensor, Callable]]) ->
         inputs = [t for t, _ in vjps]
 
         def bw(g, _vjps=tuple(vjps)):
+            handed = []
             for t, vjp in _vjps:
                 if t.requires_grad:
-                    _accumulate(t, vjp(g))
+                    gt = vjp(g)
+                    _accumulate(t, gt, any(gt is h for h in handed))
+                    handed.append(gt)
 
         _ACTIVE_TAPE._record(out, inputs, bw)
     return out
@@ -448,6 +471,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
 
     Output extents must divide exactly: H' = (H + 2*padding - kh)/stride + 1
     (and likewise for W'); a fractional extent is an error, not a floor.
+    The kernel is chosen by shape; see the module docstring.
     """
     if x.ndim != 4:
         raise ValueError(f"conv2d: input must be 4-D [N,C,H,W], got {x.shape}")
@@ -471,6 +495,14 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     Hp = (H + 2 * padding - kh) // stride + 1
     Wp = (W + 2 * padding - kw) // stride + 1
 
+    counting.add_macs(N * Cout * Hp * Wp * Cin * kh * kw)
+    # Fewer outputs than inputs (the one-channel FGU logit conv): contract
+    # the channels first. With Cout >= Cin that buffer is no smaller than the
+    # im2col, and the d->d convs measured slower and with a higher peak RSS
+    # on the channel-first path.
+    if stride == 1 and kh * kw > 1 and Cout < Cin:
+        return _conv2d_channel_first(x, weight, bias, padding, Hp, Wp)
+
     taps = [(i, j) for i in range(kh) for j in range(kw)]
     pointwise = kh == kw == 1 and stride == 1 and padding == 0
 
@@ -488,8 +520,6 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
 
     out = np.tensordot(weight.data, im2col(), axes=([1, 2, 3], [1, 2, 3]))
     out = out.transpose(1, 0, 2, 3) + bias.data[None, :, None, None]
-
-    counting.add_macs(N * Cout * Hp * Wp * Cin * kh * kw)
 
     # Neither vjp reads a buffer kept from the forward: the tape holds x, so
     # the weight vjp rebuilds the im2col buffer, and the input vjp holds one
@@ -510,6 +540,64 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
 
     def vjp_w(g):
         return np.tensordot(g, im2col(), axes=([0, 2, 3], [0, 4, 5]))
+
+    return _make(
+        "conv2d",
+        out,
+        [(x, vjp_x), (weight, vjp_w), (bias, lambda g: g.sum(axis=(0, 2, 3)))],
+    )
+
+
+def _tap_span(i: int, padding: int, n_in: int, n_out: int) -> tuple[slice, slice]:
+    """Output and input ranges along one axis where stride-1 tap i reads inside the input.
+
+    Output o reads input o + i - padding; outputs whose read falls in the
+    zero padding are left out of both ranges.
+    """
+    lo = max(0, padding - i)
+    hi = min(n_out, n_in + padding - i)
+    return slice(lo, hi), slice(lo + i - padding, hi + i - padding)
+
+
+def _conv2d_channel_first(x, weight, bias, padding, Hp, Wp) -> Tensor:
+    """Stride-1 conv that contracts the channels before the taps.
+
+    Z = W . x holds one [H, W] map per (output channel, tap); the output
+    sums each tap's shifted window of Z. For Cout < Cin this buffer is
+    smaller than the [Cin, kh, kw] im2col, and both vjps work on the
+    matching [Cout, kh, kw] scatter of the output grad, so no buffer scales
+    with Cin*kh*kw. Padding only clips the windows; nothing is padded.
+    """
+    N, Cin, H, W = x.shape
+    Cout, _, kh, kw = weight.shape
+    K = Cout * kh * kw
+    wk = weight.data.transpose(0, 2, 3, 1).reshape(K, Cin)  # rows ordered (o, i, j)
+    spans = [
+        (i, j, _tap_span(i, padding, H, Hp), _tap_span(j, padding, W, Wp))
+        for i in range(kh)
+        for j in range(kw)
+    ]
+
+    z = np.matmul(wk, x.data.reshape(N, Cin, H * W)).reshape(N, Cout, kh, kw, H, W)
+    out = np.zeros((N, Cout, Hp, Wp), dtype=np.float64)
+    for i, j, (oy, iy), (ox, ix) in spans:
+        out[:, :, oy, ox] += z[:, :, i, j, iy, ix]
+    out += bias.data[None, :, None, None]
+
+    def scatter(g):  # [N, K, H*W]: each tap's output grad at the input pixel it read
+        gz = np.zeros((N, Cout, kh, kw, H, W), dtype=np.float64)
+        for i, j, (oy, iy), (ox, ix) in spans:
+            gz[:, :, i, j, iy, ix] = g[:, :, oy, ox]
+        return gz.reshape(N, K, H * W)
+
+    def vjp_x(g):
+        gx = np.empty((N, Cin, H, W), dtype=np.float64)
+        np.matmul(wk.T, scatter(g), out=gx.reshape(N, Cin, H * W))
+        return gx
+
+    def vjp_w(g):
+        gw = np.tensordot(scatter(g), x.data.reshape(N, Cin, H * W), axes=([0, 2], [0, 2]))
+        return gw.reshape(Cout, kh, kw, Cin).transpose(0, 3, 1, 2)
 
     return _make(
         "conv2d",
@@ -648,10 +736,34 @@ def channel_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> T
     if N * H * W < 2:
         raise ValueError(f"channel_norm: {N * H * W} values per channel; variance undefined")
     axes = (0, 2, 3)
-    mu = tmean(x, axes, keepdims=True)
-    d = sub(x, mu)
-    var = tmean(mul(d, d), axes, keepdims=True)
-    xh = div(d, sqrt(add_scalar(var, eps)))
-    g4 = reshape(gamma, (1, C, 1, 1))
-    b4 = reshape(beta, (1, C, 1, 1))
-    return add(mul(xh, g4), b4)
+    inv = 1.0 / (N * H * W)
+    # the same numpy calls, in the same order, as the taped composite
+    # (tmean, sub, mul, tmean, add_scalar, sqrt, div, mul, add) it replaces,
+    # so the forward is bitwise what it was
+    mu = x.data.sum(axis=axes, keepdims=True) * inv
+    d = x.data - mu
+    var = (d * d).sum(axis=axes, keepdims=True) * inv
+    den = np.sqrt(var + eps)
+    xh = d / den
+    del d
+    g4 = gamma.data.reshape(1, C, 1, 1)
+    out = xh * g4 + beta.data.reshape(1, C, 1, 1)
+
+    def vjp_x(g):
+        # gx = (gh - mean(gh) - xh * mean(gh * xh)) / den with gh = g * gamma;
+        # gamma is per channel, so it factors out of both means
+        gx = xh * ((g * xh).sum(axis=axes, keepdims=True) * inv)
+        gx -= g
+        gx += g.sum(axis=axes, keepdims=True) * inv
+        gx *= -(g4 / den)
+        return gx
+
+    return _make(
+        "channel_norm",
+        out,
+        [
+            (x, vjp_x),
+            (gamma, lambda g: (g * xh).sum(axis=axes)),
+            (beta, lambda g: g.sum(axis=axes)),
+        ],
+    )

@@ -1,6 +1,7 @@
 """The command-line surface: configs, reports, exit codes, digests."""
 
 import json
+import re
 
 import pytest
 
@@ -39,9 +40,16 @@ def test_invariants_subset_passes(mini_cfg_file, tmp_path):
     assert all(c["pass"] for c in report["checks"].values())
 
 
-def test_unknown_check_rejected(mini_cfg_file):
-    with pytest.raises(ValueError, match="unknown checks"):
-        main(["invariants", "--config", mini_cfg_file, "--checks", "no_such_check"])
+def test_unknown_check_rejected(mini_cfg_file, tmp_path):
+    out = tmp_path / "report.json"
+    code = main(
+        ["invariants", "--config", mini_cfg_file, "--out", str(out), "--checks", "no_such_check"]
+    )
+    assert code == 2
+    report = read_report(out)
+    assert report["schema"] == "rcnet-report/1"
+    assert report["checks"] == {}
+    assert "unknown checks" in report["error"]
 
 
 def test_unknown_flag_exits_with_usage(capsys):
@@ -185,9 +193,13 @@ def test_selected_op_check_matches_full_sweep():
 
 @pytest.mark.parametrize("command", ["grad-check", "count", "invariants", "bench-shift"])
 @pytest.mark.parametrize("selection", ["typo", ",", ""])
-def test_unknown_or_empty_selection_rejected(mini_cfg_file, command, selection):
-    with pytest.raises(ValueError, match="unknown checks|empty check selection"):
-        main([command, "--config", mini_cfg_file, "--checks", selection])
+def test_unknown_or_empty_selection_rejected(mini_cfg_file, command, selection, capsys):
+    assert main([command, "--config", mini_cfg_file, "--checks", selection]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["schema"] == "rcnet-report/1"
+    assert report["command"] == command
+    assert report["checks"] == {}
+    assert re.search("unknown checks|empty check selection", report["error"])
 
 
 @pytest.mark.parametrize("reps", ["3", "0", "-1", "x"])

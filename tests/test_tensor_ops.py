@@ -13,6 +13,7 @@ from rcnet.tensor import (
     TapeError,
     Tensor,
     add,
+    add_scalar,
     backward,
     bilinear_upsample_x2,
     channel_norm,
@@ -28,6 +29,9 @@ from rcnet.tensor import (
     scale,
     sigmoid,
     softmax,
+    sqrt,
+    sub,
+    tmean,
     tsum,
 )
 
@@ -62,6 +66,29 @@ def conv2d_loops(x, w, b, stride=1, padding=0):
                                 )
                     out[bi, co, oy, ox] = acc + b[co]
     return out
+
+
+def conv2d_taps(x, w, b, padding):
+    """Stride-1 cross-correlation as one einsum per kernel tap over the padded input."""
+    _, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    hp, wp = xp.shape[2] - kh + 1, xp.shape[3] - kw + 1
+    out = b[None, :, None, None] + np.zeros((x.shape[0], w.shape[0], hp, wp))
+    for i in range(kh):
+        for j in range(kw):
+            out += np.einsum("oc,nchw->nohw", w[:, :, i, j], xp[:, :, i : i + hp, j : j + wp])
+    return out
+
+
+def channel_norm_composite(x, gamma, beta, eps=1e-5):
+    """The taped-op composition channel_norm must reproduce bitwise."""
+    c = x.shape[1]
+    axes = (0, 2, 3)
+    mu = tmean(x, axes, keepdims=True)
+    d = sub(x, mu)
+    var = tmean(mul(d, d), axes, keepdims=True)
+    xh = div(d, sqrt(add_scalar(var, eps)))
+    return add(mul(xh, reshape(gamma, (1, c, 1, 1))), reshape(beta, (1, c, 1, 1)))
 
 
 def maxpool_loops(x, k, stride):
@@ -157,6 +184,11 @@ class TestConv2d:
             ((1, 2, 5, 7), (3, 2, 3, 3), 2, 1),
             ((2, 2, 4, 6), (2, 2, 3, 5), 1, 1),
             ((1, 3, 5, 3), (2, 3, 1, 1), 2, 0),  # 1x1 strided takes the im2col path
+            # Cout < Cin at stride 1: the channel-first path
+            ((2, 4, 4, 5), (1, 4, 3, 3), 1, 0),
+            ((2, 7, 5, 6), (3, 7, 3, 3), 1, 1),
+            ((1, 7, 6, 5), (3, 7, 5, 5), 1, 2),
+            ((2, 5, 3, 4), (1, 5, 3, 5), 1, 2),  # some taps read only padding
         ],
     )
     def test_gradients_match_finite_differences(self, x_shape, w_shape, stride, padding):
@@ -187,6 +219,36 @@ class TestConv2d:
             tracemalloc.stop()
         assert len(tape) == 1 and out.requires_grad
         assert kept < cols_bytes, f"taped conv keeps {kept} bytes; its im2col is {cols_bytes}"
+
+    @pytest.mark.parametrize(
+        "x_shape,w_shape,padding",
+        [
+            ((1, 8, 6, 6), (1, 8, 3, 3), 1),
+            ((2, 7, 5, 6), (3, 7, 3, 3), 0),
+            ((2, 7, 7, 5), (3, 7, 5, 5), 2),
+            ((1, 6, 4, 7), (2, 6, 3, 5), 1),
+        ],
+    )
+    def test_channel_first_matches_per_tap_oracle(self, x_shape, w_shape, padding):
+        x, w, b = rand(x_shape, seed=37), rand(w_shape, seed=38), rand((w_shape[0],), seed=39)
+        got = conv2d(Tensor(x), Tensor(w), Tensor(b), padding=padding).data
+        assert np.max(np.abs(got - conv2d_taps(x, w, b, padding))) <= 1e-12
+
+    def test_narrow_conv_backward_stays_near_input_size(self):
+        """An FGU-shaped conv (one output channel) holds no Cin*k*k buffer."""
+        x = Tensor(rand((1, 128, 32, 32), seed=44), requires_grad=True)
+        wt = Tensor(rand((1, 128, 3, 3), seed=45), requires_grad=True)
+        b = Tensor(np.zeros(1), requires_grad=True)
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                loss = tsum(conv2d(x, wt, b, padding=1))
+            backward(tape, loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x.grad is not None and wt.grad is not None
+        assert peak < 2 * x.data.nbytes, f"peak {peak} bytes for a {x.data.nbytes}-byte input"
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ValueError, match="odd"):
@@ -385,6 +447,30 @@ class TestChannelNorm:
         )
         assert np.max(np.abs(got - want)) <= 1e-10
 
+    def test_forward_bitwise_equals_composite(self):
+        x = Tensor(rand((2, 5, 6, 7), seed=46) * 3.0 + 1.0)
+        gamma, beta = Tensor(rand((5,), seed=47)), Tensor(rand((5,), seed=48))
+        got = channel_norm(x, gamma, beta).data
+        assert np.array_equal(got, channel_norm_composite(x, gamma, beta).data)
+
+    def test_records_one_tape_node(self):
+        x = Tensor(rand((2, 3, 4, 4), seed=49), requires_grad=True)
+        with Tape() as tape:
+            channel_norm(x, Tensor(np.ones(3), requires_grad=True), Tensor(np.zeros(3)))
+        assert len(tape) == 1
+
+    def test_gradients_match_finite_differences(self):
+        x = Tensor(rand((2, 3, 5, 4), seed=50), requires_grad=True, name="x")
+        gamma = Tensor(np.abs(rand((3,), seed=51)) + 0.5, requires_grad=True, name="gamma")
+        beta = Tensor(rand((3,), seed=52), requires_grad=True, name="beta")
+        proj = Tensor(rand(x.shape, seed=53))
+
+        def build_loss():
+            return tsum(mul(channel_norm(x, gamma, beta), proj))
+
+        for result in check_gradients(build_loss, [x, gamma, beta], max_coords=512):
+            assert result.passed, result
+
     def test_single_value_rejected(self):
         with pytest.raises(ValueError, match="variance undefined"):
             channel_norm(Tensor(np.zeros((1, 3, 1, 1))), Tensor(np.ones(3)), Tensor(np.zeros(3)))
@@ -461,6 +547,26 @@ class TestTape:
         backward(tape, loss)
         for got, want in zip([leaf.grad for leaf in leaves], first):
             assert np.array_equal(got, want)
+
+    def test_shared_vjp_result_is_copied_per_input(self):
+        # add hands the same array to both inputs; each must get its own grad
+        a = Tensor(rand((2, 3), seed=54), requires_grad=True)
+        b = Tensor(rand((2, 3), seed=55), requires_grad=True)
+        with Tape() as tape:
+            loss = tsum(mul(add(a, b), Tensor(rand((2, 3), seed=56))))
+        backward(tape, loss)
+        assert a.grad is not b.grad and not np.shares_memory(a.grad, b.grad)
+        assert a.grad.flags.writeable and b.grad.flags.writeable
+        assert np.array_equal(a.grad, b.grad)
+
+    def test_broadcast_grad_is_copied_into_owned_array(self):
+        x = Tensor(rand((3, 4), seed=57), requires_grad=True)
+        with Tape() as tape:
+            loss = tsum(x)  # its vjp is a read-only broadcast view
+        backward(tape, loss)
+        assert x.grad.flags.owndata and x.grad.flags.writeable
+        x.grad *= 2.0
+        assert np.array_equal(x.grad, np.full((3, 4), 2.0))
 
     def test_non_scalar_loss_rejected(self):
         x = Tensor(rand((2,), seed=25), requires_grad=True)

@@ -10,12 +10,18 @@ is deliberately trivial to parse from any language:
                  "seed", "config"} (the last two may be null)
     blobs        per level, ascending, raw little-endian IEEE-754 doubles
                  in row-major order, exactly prod(shape) * 8 bytes each
+
+`load_pyramid` fails only with a `ContainerError` subclass (bad magic,
+header, lengths, or a NaN/Inf payload) or a `PyramidError` (levels that
+do not form a pyramid of 4-D tensors), never with another exception
+type.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 
 import numpy as np
 
@@ -45,6 +51,10 @@ class BlobLengthError(ContainerError):
     """Payload length disagrees with the shapes the header declares."""
 
 
+class PayloadError(ContainerError):
+    """Payload holds NaN or Inf values."""
+
+
 class FeaturePyramid:
     """Ordered map of consecutive pyramid levels to 4-D tensors."""
 
@@ -54,11 +64,15 @@ class FeaturePyramid:
         levels = sorted(tensors)
         if levels != list(range(levels[0], levels[-1] + 1)):
             raise PyramidError(f"levels {levels} are not consecutive")
+        for i in levels:
+            if tensors[i].ndim != 4:
+                raise PyramidError(
+                    f"level {i} has shape {tensors[i].shape}; pyramid tensors must be 4-D "
+                    "[batch, C, H, W]"
+                )
         batch = tensors[levels[0]].shape[0]
         for lo, hi in zip(levels, levels[1:]):
             a, b = tensors[lo], tensors[hi]
-            if a.ndim != 4 or b.ndim != 4:
-                raise PyramidError("pyramid tensors must be 4-D [batch, C, H, W]")
             if (a.shape[2], a.shape[3]) != (2 * b.shape[2], 2 * b.shape[3]):
                 raise PyramidError(
                     f"level {hi} extent {b.shape[2:]} is not half of level {lo} {a.shape[2:]}"
@@ -141,31 +155,49 @@ def load_pyramid(path: str) -> FeaturePyramid:
         header = json.loads(blob[8:head_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise HeaderError(f"{path}: malformed header: {err}") from err
+    if not isinstance(header, dict):
+        raise HeaderError(f"{path}: header is not a JSON object")
     for key in ("levels", "shapes", "dtype"):
         if key not in header:
             raise HeaderError(f"{path}: header missing field {key!r}")
     if header["dtype"] != DTYPE_TAG:
         raise HeaderError(f"{path}: unsupported dtype tag {header['dtype']!r}")
+    levels, shapes = header["levels"], header["shapes"]
+    if not isinstance(levels, list) or not all(_is_int(level) for level in levels):
+        raise HeaderError(f"{path}: 'levels' must be a list of integers, got {levels!r}")
+    if len(set(levels)) != len(levels):
+        raise HeaderError(f"{path}: 'levels' repeats a level: {levels!r}")
+    if not isinstance(shapes, dict):
+        raise HeaderError(f"{path}: 'shapes' must be an object keyed by level")
 
     offset = head_end
     tensors = {}
-    for level in header["levels"]:
-        shape = header["shapes"].get(str(level))
+    for level in levels:
+        shape = shapes.get(str(level))
         if shape is None:
             raise HeaderError(f"{path}: header has no shape for level {level}")
-        count = int(np.prod(shape))
-        nbytes = count * 8
+        if not isinstance(shape, list) or not all(_is_int(n) and n >= 0 for n in shape):
+            raise HeaderError(
+                f"{path}: level {level} shape {shape!r} is not a list of non-negative integers"
+            )
+        nbytes = math.prod(shape) * 8  # exact: Python ints do not overflow
         if offset + nbytes > len(blob):
             raise BlobLengthError(
                 f"{path}: level {level} blob needs {nbytes} bytes, "
                 f"{len(blob) - offset} remain"
             )
-        data = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(shape)
-        tensors[int(level)] = Tensor(data.astype(np.float64, copy=True))
+        data = np.frombuffer(blob, dtype="<f8", count=nbytes // 8, offset=offset)
+        if not np.isfinite(data).all():
+            raise PayloadError(f"{path}: level {level} blob holds NaN or Inf values")
+        tensors[level] = Tensor(data.reshape(shape).astype(np.float64, copy=True))
         offset += nbytes
     if offset != len(blob):
         raise BlobLengthError(f"{path}: {len(blob) - offset} trailing bytes after last blob")
     return FeaturePyramid(tensors)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def pyramid_digest(pyr: FeaturePyramid) -> str:

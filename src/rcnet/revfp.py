@@ -120,10 +120,15 @@ def feature_guided_upsample(
 
 
 def dynamic_weight(a: Tensor, b: Tensor, head_weight: Tensor, head_bias: Tensor) -> Tensor:
-    """Per-sample scalar gate in (0,1) from pooled concat of both operands."""
+    """Per-sample scalar gate in (0,1) from pooled concat of both operands.
+
+    Each operand is pooled before the two [N, d, 1, 1] means are joined,
+    which is bitwise the pool of the joined [N, 2d, H, W] map without
+    building it.
+    """
     if a.shape != b.shape:
         raise ValueError(f"dynamic_weight: operand shapes {a.shape} != {b.shape}")
-    pooled = global_avg_pool(concat([a, b], 1))
+    pooled = concat([global_avg_pool(a), global_avg_pool(b)], 1)
     return sigmoid(conv2d(pooled, head_weight, head_bias))
 
 

@@ -21,13 +21,26 @@ than 1x1 and fewer output than input channels (the one-channel FGU logit
 conv) contracts the channels first: its buffers hold Cout*kh*kw maps,
 not the Cin*kh*kw of an im2col. Every other conv (the d->d 3x3 convs,
 1x1 convs, strided convs) multiplies an im2col buffer, which does
-better when Cout >= Cin. Neither path keeps a buffer on the tape: the
-im2col weight vjp rebuilds its buffer from the input the tape already
-holds, and the im2col input vjp accumulates kernel tap by kernel tap.
+better when Cout >= Cin. That path runs np.matmul on [N, K, P] views
+(K = Cin*kh*kw, P the output pixels): the product is already NCHW and
+takes the bias in place, the weight vjp is g @ cols^T on views, and a
+1x1 stride-1 conv reads a view of x and gets its input vjp from one
+matmul. Neither path keeps a buffer on the tape: the im2col weight vjp
+rebuilds its buffer from the input the tape already holds, and the
+im2col input vjp accumulates kernel tap by kernel tap.
+
+The resampling kernels read strided views rather than building gather
+buffers. maxpool2d folds np.maximum over its k*k window views, and its
+backward re-derives each window's first maximum from x and the output.
+The bilinear x2 upsample builds each axis's even and odd outputs by
+slicing; each output is the same sum of two products as in the
+index-gather formula, so the result is bitwise that formula's.
 
 channel_norm is one tape node with a closed-form backward; its forward
 runs the same numpy calls in the same order as the composite of
-elementwise ops it replaced, so its output is bitwise unchanged.
+elementwise ops it replaced, so its output is bitwise unchanged. Its
+backward forms the per-channel sum of g * xh once, as dot products, and
+shares it between the x and the gamma vjp.
 """
 
 from __future__ import annotations
@@ -505,41 +518,44 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
 
     taps = [(i, j) for i in range(kh) for j in range(kw)]
     pointwise = kh == kw == 1 and stride == 1 and padding == 0
+    K, P = Cin * kh * kw, Hp * Wp
+    wmat = weight.data.reshape(Cout, K)
 
     def window(a, i, j):  # the pixels kernel tap (i, j) reads, one per output pixel
         return a[:, :, i : i + stride * Hp : stride, j : j + stride * Wp : stride]
 
-    def im2col():
+    def im2col():  # [N, K, P]; the GEMMs below read it and its transpose as views
         if pointwise:
-            return x.data[:, :, None, None]  # a view: 1x1 convs copy nothing
+            return x.data.reshape(N, Cin, P)  # a view: 1x1 convs copy nothing
         xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
         cols = np.empty((N, Cin, kh, kw, Hp, Wp), dtype=np.float64)
         for i, j in taps:
             cols[:, :, i, j] = window(xp, i, j)
-        return cols
+        return cols.reshape(N, K, P)
 
-    out = np.tensordot(weight.data, im2col(), axes=([1, 2, 3], [1, 2, 3]))
-    out = out.transpose(1, 0, 2, 3) + bias.data[None, :, None, None]
+    out = np.matmul(wmat, im2col()).reshape(N, Cout, Hp, Wp)  # NCHW as it comes
+    out += bias.data[:, None, None]
 
     # Neither vjp reads a buffer kept from the forward: the tape holds x, so
     # the weight vjp rebuilds the im2col buffer, and the input vjp holds one
-    # tap's [Cin, N, Hp, Wp] product at a time.
+    # tap's [N, Cin, Hp, Wp] product at a time.
     def vjp_x(g):
-        def tap_grad(i, j):
-            return np.tensordot(weight.data[:, :, i, j], g, axes=([0], [1])).transpose(1, 0, 2, 3)
-
+        g = g.reshape(N, Cout, P)
         if pointwise:
-            return tap_grad(0, 0)
+            gx = np.empty((N, Cin, H, W), dtype=np.float64)
+            np.matmul(wmat.T, g, out=gx.reshape(N, Cin, P))
+            return gx
         gxp = np.zeros((N, Cin, H + 2 * padding, W + 2 * padding), dtype=np.float64)
         for i, j in taps:
             tap = window(gxp, i, j)
-            tap += tap_grad(i, j)
+            tap += np.matmul(weight.data[:, :, i, j].T, g).reshape(N, Cin, Hp, Wp)
         if padding:
             return gxp[:, :, padding : padding + H, padding : padding + W]
         return gxp
 
     def vjp_w(g):
-        return np.tensordot(g, im2col(), axes=([0, 2, 3], [0, 4, 5]))
+        gw = np.matmul(g.reshape(N, Cout, P), im2col().transpose(0, 2, 1))  # [N, Cout, K]
+        return gw.sum(axis=0).reshape(weight.shape)
 
     return _make(
         "conv2d",
@@ -606,15 +622,11 @@ def _conv2d_channel_first(x, weight, bias, padding, Hp, Wp) -> Tensor:
     )
 
 
-def _up2_indices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # half-pixel-center sampling: output o reads input coordinate (o+0.5)/2-0.5,
-    # neighbors clamped at the border
-    src = (np.arange(2 * n) + 0.5) / 2.0 - 0.5
-    i0 = np.floor(src)
-    t = src - i0
-    lo = np.clip(i0, 0, n - 1).astype(np.intp)
-    hi = np.clip(i0 + 1, 0, n - 1).astype(np.intp)
-    return lo, hi, t
+def _along(a: np.ndarray, axis: int, start, stop, step=None) -> np.ndarray:
+    """The view of `a` that slices `axis` as start:stop:step."""
+    idx = [slice(None)] * a.ndim
+    idx[axis] = slice(start, stop, step)
+    return a[tuple(idx)]
 
 
 def bilinear_upsample_x2(x: Tensor) -> Tensor:
@@ -622,22 +634,40 @@ def bilinear_upsample_x2(x: Tensor) -> Tensor:
 
     Alignment is half-pixel centers (align-corners OFF): this is the one
     interpolation convention used everywhere in the package, so any oracle
-    must use the same formula.
+    must use the same formula. Rows are interpolated first, then columns.
     """
     if x.ndim < 2:
         raise ValueError(f"bilinear_upsample_x2: need at least 2 axes, got {x.shape}")
-    H, W = x.shape[-2], x.shape[-1]
-    rlo, rhi, rt = _up2_indices(H)
-    clo, chi, ct = _up2_indices(W)
-    rt_ = rt.reshape((1,) * (x.ndim - 2) + (2 * H, 1))
-    ct_ = ct.reshape((1,) * (x.ndim - 2) + (1, 2 * W))
-
-    rows = x.data[..., rlo, :] * (1.0 - rt_) + x.data[..., rhi, :] * rt_
-    out = rows[..., :, clo] * (1.0 - ct_) + rows[..., :, chi] * ct_
-
+    out = _up2(_up2(x.data, -2), -1)
     return _make(
         "bilinear_upsample_x2", out, [(x, lambda g: _up2_adjoint(_up2_adjoint(g, -1), -2))]
     )
+
+
+def _up2(a: np.ndarray, axis: int) -> np.ndarray:
+    """The x2 half-pixel upsample along one axis (extent n -> 2n), by slicing.
+
+    Output o samples input coordinate (o + 0.5)/2 - 0.5: output 2k is
+    1/4 a[k-1] + 3/4 a[k] and output 2k+1 is 3/4 a[k] + 1/4 a[k+1], with
+    a[-1] clamped to a[0] and a[n] to a[n-1]. The even and the odd outputs
+    each have extent n, so the 3/4 products are written straight into them
+    and the 1/4 products are added in place. Each output is one sum of the
+    same two products the index-gather formula forms (a two-term IEEE sum
+    does not depend on the order of its terms), so the result is bitwise
+    that formula's.
+    """
+    shape = list(a.shape)
+    shape[axis] *= 2
+    out = np.empty(shape, dtype=np.float64)
+    even, odd = _along(out, axis, 0, None, 2), _along(out, axis, 1, None, 2)
+    np.multiply(a, 0.75, out=even)
+    np.multiply(a, 0.75, out=odd)
+    quarter = a * 0.25
+    _along(even, axis, 1, None)[...] += _along(quarter, axis, None, -1)  # a[k-1]
+    _along(even, axis, None, 1)[...] += _along(quarter, axis, None, 1)  # a[-1] clamps to a[0]
+    _along(odd, axis, None, -1)[...] += _along(quarter, axis, 1, None)  # a[k+1]
+    _along(odd, axis, -1, None)[...] += _along(quarter, axis, -1, None)  # a[n] clamps to a[n-1]
+    return out
 
 
 def _up2_adjoint(g: np.ndarray, axis: int) -> np.ndarray:
@@ -649,26 +679,23 @@ def _up2_adjoint(g: np.ndarray, axis: int) -> np.ndarray:
     to x[0] and x[n] to x[n-1], so the edge inputs also collect the 1/4
     share of g[0] and of g[2n-1].
     """
-
-    def at(a, sl):
-        idx = [slice(None)] * a.ndim
-        idx[axis] = sl
-        return a[tuple(idx)]
-
-    even, odd = at(g, slice(0, None, 2)), at(g, slice(1, None, 2))
+    even, odd = _along(g, axis, 0, None, 2), _along(g, axis, 1, None, 2)
     gx = 0.75 * (even + odd)
-    at(gx, slice(1, None))[...] += 0.25 * at(odd, slice(None, -1))  # g[2k-1]
-    at(gx, slice(None, -1))[...] += 0.25 * at(even, slice(1, None))  # g[2k+2]
-    at(gx, slice(None, 1))[...] += 0.25 * at(even, slice(None, 1))  # g[-1] clamps to g[0]
-    at(gx, slice(-1, None))[...] += 0.25 * at(odd, slice(-1, None))  # g[2n] clamps to g[2n-1]
+    _along(gx, axis, 1, None)[...] += 0.25 * _along(odd, axis, None, -1)  # g[2k-1]
+    _along(gx, axis, None, -1)[...] += 0.25 * _along(even, axis, 1, None)  # g[2k+2]
+    _along(gx, axis, None, 1)[...] += 0.25 * _along(even, axis, None, 1)  # g[-1] clamps to g[0]
+    _along(gx, axis, -1, None)[...] += 0.25 * _along(odd, axis, -1, None)  # g[2n] clamps to g[2n-1]
     return gx
 
 
 def maxpool2d(x: Tensor, k: int, stride: int) -> Tensor:
     """Per-window maximum over the trailing two axes of an NCHW tensor.
 
-    Backward routes the whole gradient to the window argmax; ties go to the
-    first element in row-major window order, so backward is deterministic.
+    The forward folds np.maximum over the k*k strided window views, so it
+    allocates nothing larger than its output. Backward routes the whole
+    gradient to the window argmax: it re-derives, from x and the output,
+    the first element in row-major window order that equals the maximum,
+    so ties go to that element and backward is deterministic.
     """
     if x.ndim != 4:
         raise ValueError(f"maxpool2d: input must be 4-D [N,C,H,W], got {x.shape}")
@@ -679,19 +706,26 @@ def maxpool2d(x: Tensor, k: int, stride: int) -> Tensor:
         )
     Hp = (H - k) // stride + 1
     Wp = (W - k) // stride + 1
-    cand = np.empty((N, C, Hp, Wp, k * k), dtype=np.float64)
-    for i in range(k):
-        for j in range(k):
-            cand[..., i * k + j] = x.data[:, :, i : i + stride * Hp : stride, j : j + stride * Wp : stride]
-    am = np.argmax(cand, axis=-1)
-    out = np.take_along_axis(cand, am[..., None], axis=-1)[..., 0]
+    taps = [(i, j) for i in range(k) for j in range(k)]
+
+    def window(a, i, j):  # the element tap (i, j) of every window
+        return a[:, :, i : i + stride * Hp : stride, j : j + stride * Wp : stride]
+
+    out = window(x.data, 0, 0).copy()
+    for i, j in taps[1:]:
+        # on a tie np.maximum returns its second operand, so the earlier
+        # tap's value is kept (its sign too, for a -0.0/0.0 tie)
+        np.maximum(window(x.data, i, j), out, out=out)
 
     def vjp(g):
         gx = np.zeros_like(x.data)
-        for i in range(k):
-            for j in range(k):
-                mask = am == (i * k + j)
-                gx[:, :, i : i + stride * Hp : stride, j : j + stride * Wp : stride] += g * mask
+        unrouted = np.ones(out.shape, dtype=bool)
+        for i, j in taps:
+            first = window(x.data, i, j) == out
+            first &= unrouted
+            unrouted ^= first
+            tap = window(gx, i, j)
+            tap += g * first
         return gx
 
     return _make("maxpool2d", out, [(x, vjp)])
@@ -749,21 +783,38 @@ def channel_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> T
     g4 = gamma.data.reshape(1, C, 1, 1)
     out = xh * g4 + beta.data.reshape(1, C, 1, 1)
 
+    # Both the x and the gamma vjp need the per-channel sum of g * xh. The
+    # x vjp runs first on the same g and hands its sum on when gamma is
+    # being differentiated too.
+    handed = []
+
     def vjp_x(g):
         # gx = (gh - mean(gh) - xh * mean(gh * xh)) / den with gh = g * gamma;
         # gamma is per channel, so it factors out of both means
-        gx = xh * ((g * xh).sum(axis=axes, keepdims=True) * inv)
+        g_xh = _channel_dot(g, xh)
+        if gamma.requires_grad:
+            handed.append(g_xh)
+        gx = xh * (g_xh * inv)
         gx -= g
         gx += g.sum(axis=axes, keepdims=True) * inv
         gx *= -(g4 / den)
         return gx
 
+    def vjp_gamma(g):
+        return (handed.pop() if handed else _channel_dot(g, xh)).reshape(C)
+
     return _make(
         "channel_norm",
         out,
-        [
-            (x, vjp_x),
-            (gamma, lambda g: (g * xh).sum(axis=axes)),
-            (beta, lambda g: g.sum(axis=axes)),
-        ],
+        [(x, vjp_x), (gamma, vjp_gamma), (beta, lambda g: g.sum(axis=axes))],
     )
+
+
+def _channel_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-channel sum of a * b over (batch, spatial) for [N, C, H, W] arrays, as [1, C, 1, 1].
+
+    One dot product per (sample, channel) pair: no a * b array is formed.
+    """
+    N, C, H, W = a.shape
+    dots = np.matmul(a.reshape(N, C, 1, H * W), b.reshape(N, C, H * W, 1))  # [N, C, 1, 1]
+    return dots.sum(axis=0, keepdims=True)

@@ -10,8 +10,10 @@ from rcnet.params import ParamStore
 from rcnet.pyramid import (
     BadMagicError,
     BlobLengthError,
+    ContainerError,
     FeaturePyramid,
     HeaderError,
+    PayloadError,
     PyramidError,
     load_pyramid,
     pyramid_bytes,
@@ -178,3 +180,124 @@ class TestConfigValidation:
         message = str(err.value)
         for fragment in ["at least 5 levels", "divisible by 4*r", "k=9", "batch=0", "31"]:
             assert fragment in message
+
+
+def _mini_container() -> bytes:
+    return pyramid_bytes(
+        FeaturePyramid(
+            {3: Tensor(SplitMix64(1).standard_normal((1, 2, 4, 4))),
+             4: Tensor(SplitMix64(2).standard_normal((1, 2, 2, 2)))}
+        )
+    )
+
+
+def _split(blob: bytes) -> tuple[dict, bytes]:
+    head_len = int.from_bytes(blob[4:8], "little")
+    return json.loads(blob[8 : 8 + head_len]), blob[8 + head_len :]
+
+
+def _join(header: dict, payload: bytes) -> bytes:
+    head = json.dumps(header).encode()
+    return b"FPZ1" + len(head).to_bytes(4, "little") + head + payload
+
+
+class TestLoaderBoundary:
+    """Malformed containers fail with a ContainerError or PyramidError subclass only."""
+
+    def _load(self, tmp_path, blob: bytes):
+        path = tmp_path / "case.fpz"
+        path.write_bytes(blob)
+        return load_pyramid(str(path))
+
+    def test_shapes_list_rejected(self, tmp_path):
+        header, payload = _split(_mini_container())
+        header["shapes"] = [header["shapes"]["3"], header["shapes"]["4"]]
+        with pytest.raises(HeaderError, match="shapes"):
+            self._load(tmp_path, _join(header, payload))
+
+    def test_int64_overflowing_extent_product_rejected(self, tmp_path):
+        header, payload = _split(_mini_container())
+        header["shapes"]["3"] = [1, 2**32, 2**32, 1]  # the product wraps to 0 in int64
+        with pytest.raises(BlobLengthError, match="needs"):
+            self._load(tmp_path, _join(header, payload))
+
+    def test_negative_extent_rejected(self, tmp_path):
+        header, payload = _split(_mini_container())
+        header["shapes"]["3"] = [1, -2, 4, 4]
+        with pytest.raises(HeaderError, match="non-negative"):
+            self._load(tmp_path, _join(header, payload))
+
+    def test_single_3d_level_rejected(self, tmp_path):
+        header, payload = _split(_mini_container())
+        header["levels"] = [3]
+        header["shapes"] = {"3": [2, 4, 4]}
+        with pytest.raises(PyramidError, match="4-D"):
+            self._load(tmp_path, _join(header, payload[: 2 * 4 * 4 * 8]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload_rejected(self, tmp_path, bad):
+        header, payload = _split(_mini_container())
+        values = np.frombuffer(payload, dtype="<f8").copy()
+        values[5] = bad
+        with pytest.raises(PayloadError, match="NaN or Inf"):
+            self._load(tmp_path, _join(header, values.tobytes()))
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda h: h.update(levels="34"),
+            lambda h: h.update(levels=[3, 3]),
+            lambda h: h.update(levels=[3.0, 4]),
+            lambda h: h["shapes"].update({"3": [1, 2, 4.0, 4]}),
+            lambda h: h["shapes"].update({"3": [1, 2, True, 16]}),
+            lambda h: h["shapes"].update({"3": 32}),
+        ],
+        ids=["levels-string", "levels-repeated", "level-float", "extent-float", "extent-bool",
+             "shape-scalar"],
+    )
+    def test_malformed_header_fields_rejected(self, tmp_path, edit):
+        header, payload = _split(_mini_container())
+        edit(header)
+        with pytest.raises(HeaderError):
+            self._load(tmp_path, _join(header, payload))
+
+    def test_header_that_is_not_an_object_rejected(self, tmp_path):
+        with pytest.raises(HeaderError, match="object"):
+            self._load(tmp_path, b"FPZ1" + (2).to_bytes(4, "little") + b"[]")
+
+    def test_seeded_byte_fuzz_raises_only_documented_errors(self, tmp_path):
+        """Mutate a valid container's header and blob bytes; only the documented errors escape."""
+        valid = _mini_container()
+        head_end = 8 + int.from_bytes(valid[4:8], "little")
+        json_bytes = b'0123456789-+.eE[]{},:" ntrufalsl'
+        words = iter(int(w) for w in SplitMix64(fold_seed(0, "fpz1-fuzz")).words(20_000))
+        outcomes = {}
+        for _ in range(1500):
+            blob = bytearray(valid)
+            for _ in range(1 + next(words) % 3):
+                kind, a, b = next(words) % 6, next(words), next(words)
+                payload = len(blob) - head_end
+                if kind == 0 and len(blob) > 8:  # a header byte becomes a JSON character
+                    blob[8 + a % (min(head_end, len(blob)) - 8)] = json_bytes[b % len(json_bytes)]
+                elif kind == 1 and payload > 0:  # any payload byte
+                    blob[head_end + a % payload] = b % 256
+                elif kind == 2 and payload >= 8:  # a payload double's exponent bits all set
+                    at = head_end + 8 * (a % (payload // 8))
+                    blob[at + 6] |= 0xF0
+                    blob[at + 7] |= 0x7F
+                elif kind == 3:  # a byte of the header-length field
+                    blob[4 + a % 4] = b % 256
+                elif kind == 4:  # truncate
+                    del blob[a % len(blob) :]
+                elif kind == 5:  # insert a byte
+                    blob.insert(a % (len(blob) + 1), json_bytes[b % len(json_bytes)])
+            try:
+                self._load(tmp_path, bytes(blob))
+                outcome = "loaded"
+            except (ContainerError, PyramidError) as err:
+                outcome = type(err).__name__
+            outcomes[outcome] = outcomes.get(outcome, 0) + 1
+        # the mutations get past the JSON parser to the length and payload checks
+        # (a PyramidError needs coordinated extent edits; the tests above make them)
+        for name in ("loaded", "HeaderError", "BlobLengthError", "PayloadError"):
+            assert outcomes.get(name, 0) > 0, outcomes

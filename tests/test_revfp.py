@@ -16,14 +16,18 @@ from rcnet.revfp import (
 )
 from rcnet.rng import SplitMix64
 from rcnet.tensor import (
+    Tape,
     Tensor,
+    backward,
     bilinear_upsample_x2,
     channel_norm,
     concat,
     conv2d,
     global_avg_pool,
     maxpool2d,
+    mul,
     sigmoid,
+    tsum,
 )
 
 
@@ -94,12 +98,24 @@ class TestDynamicWeight:
         assert w.data.reshape(()) >= 0.999
 
     def test_matches_primitive_composition(self):
-        a, b = rand((2, 4, 5, 5), 16), rand((2, 4, 5, 5), 17)
-        hw = Tensor(SplitMix64(18).standard_normal((1, 8, 1, 1)))
-        hb = Tensor(SplitMix64(19).standard_normal((1,)))
-        got = dynamic_weight(a, b, hw, hb).data
-        want = sigmoid(conv2d(global_avg_pool(concat([a, b], 1)), hw, hb)).data
-        assert np.array_equal(got, want)
+        # the head pools each operand before joining them; the gate and every
+        # gradient equal those of the pool of the joined map bit for bit
+        a_data, b_data = rand((2, 16, 12, 10), 16).data, rand((2, 16, 12, 10), 17).data
+        hw_data = SplitMix64(18).standard_normal((1, 32, 1, 1))
+        hb_data = SplitMix64(19).standard_normal((1,))
+        results = []
+        for gate in (
+            dynamic_weight,
+            lambda a, b, hw, hb: sigmoid(conv2d(global_avg_pool(concat([a, b], 1)), hw, hb)),
+        ):
+            leaves = [Tensor(v, requires_grad=True) for v in (a_data, b_data, hw_data, hb_data)]
+            with Tape() as tape:
+                w = gate(*leaves)
+                loss = tsum(mul(w, Tensor([[[[0.5]]], [[[-2.0]]]])))
+            backward(tape, loss)
+            results.append([w.data] + [t.grad for t in leaves])
+        for got, want in zip(*results):
+            assert got.tobytes() == want.tobytes()
 
 
 def _site(d, seed):

@@ -68,16 +68,35 @@ def conv2d_loops(x, w, b, stride=1, padding=0):
     return out
 
 
-def conv2d_taps(x, w, b, padding):
-    """Stride-1 cross-correlation as one einsum per kernel tap over the padded input."""
+def conv2d_taps(x, w, b, padding, stride=1):
+    """Cross-correlation as one einsum per kernel tap over the padded input."""
     _, _, kh, kw = w.shape
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    hp, wp = xp.shape[2] - kh + 1, xp.shape[3] - kw + 1
+    hp = (xp.shape[2] - kh) // stride + 1
+    wp = (xp.shape[3] - kw) // stride + 1
     out = b[None, :, None, None] + np.zeros((x.shape[0], w.shape[0], hp, wp))
     for i in range(kh):
         for j in range(kw):
-            out += np.einsum("oc,nchw->nohw", w[:, :, i, j], xp[:, :, i : i + hp, j : j + wp])
+            window = xp[:, :, i : i + stride * hp : stride, j : j + stride * wp : stride]
+            out += np.einsum("oc,nchw->nohw", w[:, :, i, j], window)
     return out
+
+
+def conv2d_taps_vjp(x, w, g, padding, stride=1):
+    """Input and weight gradients of `conv2d_taps` for output gradient g, per tap."""
+    _, _, kh, kw = w.shape
+    h, wid = x.shape[2:]
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    hp, wp = g.shape[2:]
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(w)
+    for i in range(kh):
+        for j in range(kw):
+            sl = (slice(None), slice(None), slice(i, i + stride * hp, stride),
+                  slice(j, j + stride * wp, stride))
+            gxp[sl] += np.einsum("oc,nohw->nchw", w[:, :, i, j], g)
+            gw[:, :, i, j] = np.einsum("nohw,nchw->oc", g, xp[sl])
+    return gxp[:, :, padding : padding + h, padding : padding + wid], gw
 
 
 def channel_norm_composite(x, gamma, beta, eps=1e-5):
@@ -104,6 +123,43 @@ def maxpool_loops(x, k, stride):
                         bi, ci, oy * stride : oy * stride + k, ox * stride + 0 : ox * stride + k
                     ].max()
     return out
+
+
+def maxpool_grad_loops(x, g, k, stride):
+    """Route each window's gradient to its first maximum in row-major window order."""
+    gx = np.zeros_like(x)
+    n, c, hp, wp = g.shape
+    for bi in range(n):
+        for ci in range(c):
+            for oy in range(hp):
+                for ox in range(wp):
+                    win = x[bi, ci, oy * stride : oy * stride + k, ox * stride : ox * stride + k]
+                    dy, dx = divmod(int(np.argmax(win)), k)
+                    gx[bi, ci, oy * stride + dy, ox * stride + dx] += g[bi, ci, oy, ox]
+    return gx
+
+
+def upsample2_gather(x):
+    """The index-gather form of the x2 half-pixel upsample: rows, then columns.
+
+    Each output is (1 - t) * x[lo] + t * x[hi], with lo and hi the clamped
+    neighbours of the sampled coordinate and t its fractional part.
+    """
+
+    def indices(n):
+        src = (np.arange(2 * n) + 0.5) / 2.0 - 0.5
+        i0 = np.floor(src)
+        lo = np.clip(i0, 0, n - 1).astype(np.intp)
+        hi = np.clip(i0 + 1, 0, n - 1).astype(np.intp)
+        return lo, hi, src - i0
+
+    h, w = x.shape[-2:]
+    rlo, rhi, rt = indices(h)
+    clo, chi, ct = indices(w)
+    rt = rt.reshape((1,) * (x.ndim - 2) + (2 * h, 1))
+    ct = ct.reshape((1,) * (x.ndim - 2) + (1, 2 * w))
+    rows = x[..., rlo, :] * (1.0 - rt) + x[..., rhi, :] * rt
+    return rows[..., :, clo] * (1.0 - ct) + rows[..., :, chi] * ct
 
 
 def upsample2_reference(x):
@@ -234,6 +290,38 @@ class TestConv2d:
         got = conv2d(Tensor(x), Tensor(w), Tensor(b), padding=padding).data
         assert np.max(np.abs(got - conv2d_taps(x, w, b, padding))) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "x_shape,w_shape,stride,padding",
+        [
+            ((5, 6, 7, 5), (9, 6, 1, 1), 1, 0),  # N=5 1x1: GEMMs on views of x
+            ((1, 6, 9, 9), (6, 6, 3, 3), 2, 0),  # the stride-2 stem (input padded on one side)
+            ((2, 5, 8, 6), (7, 5, 3, 3), 1, 1),  # 3x3 pad 1, Cout >= Cin: the im2col path
+        ],
+    )
+    def test_im2col_path_matches_einsum_oracle(self, x_shape, w_shape, stride, padding):
+        x = Tensor(rand(x_shape, seed=60), requires_grad=True)
+        w = Tensor(rand(w_shape, seed=61), requires_grad=True)
+        b = Tensor(rand((w_shape[0],), seed=62), requires_grad=True)
+        with Tape() as tape:
+            out = conv2d(x, w, b, stride, padding)
+            g = rand(out.shape, seed=63)
+            loss = tsum(mul(out, Tensor(g)))
+        backward(tape, loss)
+        want = conv2d_taps(x.data, w.data, b.data, padding, stride)
+        want_gx, want_gw = conv2d_taps_vjp(x.data, w.data, g, padding, stride)
+        assert np.max(np.abs(out.data - want)) <= 1e-12
+        assert np.max(np.abs(x.grad - want_gx)) <= 1e-12
+        assert np.max(np.abs(w.grad - want_gw)) <= 1e-12
+        assert np.max(np.abs(b.grad - g.sum(axis=(0, 2, 3)))) <= 1e-12
+
+    def test_pointwise_input_grad_is_an_owned_array(self):
+        x = Tensor(rand((2, 4, 3, 5), seed=64), requires_grad=True)
+        w = Tensor(rand((6, 4, 1, 1), seed=65))
+        with Tape() as tape:
+            loss = tsum(conv2d(x, w, Tensor(np.zeros(6))))
+        backward(tape, loss)
+        assert x.grad.flags.owndata and x.grad.flags.c_contiguous
+
     def test_narrow_conv_backward_stays_near_input_size(self):
         """An FGU-shaped conv (one output channel) holds no Cin*k*k buffer."""
         x = Tensor(rand((1, 128, 32, 32), seed=44), requires_grad=True)
@@ -291,6 +379,15 @@ class TestBilinearUpsample:
         assert np.max(np.abs(got - upsample2_reference(x))) <= 1e-12
 
     @pytest.mark.parametrize("lead", [(2, 3), (1, 2, 3)], ids=["4d", "5d"])
+    @pytest.mark.parametrize("h", [1, 2, 3, 5])
+    @pytest.mark.parametrize("w", [1, 2, 3, 5])
+    def test_bitwise_equals_index_gather_form(self, lead, h, w):
+        x = rand(lead + (h, w), seed=100 + h * 10 + w) * 7.0
+        x.flat[0] = -0.0
+        got = bilinear_upsample_x2(Tensor(x)).data
+        assert got.tobytes() == upsample2_gather(x).tobytes()
+
+    @pytest.mark.parametrize("lead", [(2, 3), (1, 2, 3)], ids=["4d", "5d"])
     @pytest.mark.parametrize("h,w", [(1, 1), (2, 3), (3, 5), (5, 2), (1, 5)])
     def test_backward_is_the_adjoint(self, lead, h, w):
         # <up(x), g> == <x, up^T(g)>, with up(x) from the per-pixel formula
@@ -328,6 +425,50 @@ class TestMaxPool:
             loss = tsum(maxpool2d(x, 2, 2))
         backward(tape, loss)
         assert np.array_equal(x.grad, [[[[1.0, 0.0], [0.0, 0.0]]]])
+
+    @pytest.mark.parametrize("k,stride", [(2, 2), (3, 2), (3, 3)], ids=["2s2", "3s2-overlap", "3s3"])
+    def test_matches_loop_oracles_with_ties(self, k, stride):
+        # integer-valued inputs: most windows hold several copies of their maximum
+        side = 8 if k == 2 else 9
+        x = Tensor(np.round(rand((2, 3, side, side), seed=70)), requires_grad=True)
+        g = rand(maxpool_loops(x.data, k, stride).shape, seed=71)
+        with Tape() as tape:
+            out = maxpool2d(x, k, stride)
+            loss = tsum(mul(out, Tensor(g)))
+        backward(tape, loss)
+        assert np.array_equal(out.data, maxpool_loops(x.data, k, stride))
+        # overlapping windows sum into a shared pixel in another order than the loops
+        assert np.max(np.abs(x.grad - maxpool_grad_loops(x.data, g, k, stride))) <= 1e-12
+
+    def test_signed_zero_tie_keeps_the_first(self):
+        x = np.array([[[[-0.0, 0.0], [0.0, -0.0]]]])
+        for data, sign in [(x, True), (-x, False)]:
+            out = maxpool2d(Tensor(data), 2, 2).data
+            assert out.reshape(()) == 0.0 and bool(np.signbit(out).all()) is sign
+
+    @pytest.mark.parametrize("k,stride", [(3, 2), (3, 3)])
+    def test_gradients_match_finite_differences(self, k, stride):
+        x = Tensor(rand((1, 2, 9, 9), seed=72), requires_grad=True, name="x")
+        proj = Tensor(rand(maxpool_loops(x.data, k, stride).shape, seed=73))
+
+        def build_loss():
+            return tsum(mul(maxpool2d(x, k, stride), proj))
+
+        for result in check_gradients(build_loss, [x], max_coords=512):
+            assert result.passed, result
+
+    @pytest.mark.parametrize("k,stride", [(2, 2), (3, 2)])
+    def test_forward_allocates_no_window_candidate_buffer(self, k, stride):
+        x = Tensor(rand((1, 16, 65, 65) if k == 3 else (1, 16, 64, 64), seed=74))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = maxpool2d(x, k, stride)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # a [..., k*k] candidate array would be k*k times the output
+        assert peak < 2 * out.data.nbytes, f"peak {peak} bytes for a {out.data.nbytes}-byte output"
 
 
 class TestGlobalAvgPool:
@@ -470,6 +611,43 @@ class TestChannelNorm:
 
         for result in check_gradients(build_loss, [x, gamma, beta], max_coords=512):
             assert result.passed, result
+
+    @pytest.mark.parametrize("x_grad,gamma_grad", [(True, True), (True, False), (False, True)])
+    def test_gradients_match_composite(self, x_grad, gamma_grad):
+        # the x vjp hands its per-channel sum of g * xh to the gamma vjp only
+        # when both are differentiated; each combination must stay exact
+        data = rand((2, 3, 5, 4), seed=75) * 2.0 + 0.5
+        g = rand(data.shape, seed=76)
+        grads = []
+        for norm in (channel_norm, channel_norm_composite):
+            x = Tensor(data, requires_grad=x_grad)
+            gamma = Tensor(np.abs(rand((3,), seed=77)) + 0.5, requires_grad=gamma_grad)
+            beta = Tensor(rand((3,), seed=78), requires_grad=True)
+            with Tape() as tape:
+                loss = tsum(mul(norm(x, gamma, beta), Tensor(g)))
+            backward(tape, loss)
+            grads.append([x.grad, gamma.grad, beta.grad])
+        for got, want in zip(*grads):
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+    def test_backward_forms_no_full_size_g_xh_product(self):
+        x = Tensor(rand((2, 32, 32, 32), seed=79), requires_grad=True)
+        gamma = Tensor(np.ones(32), requires_grad=True)
+        beta = Tensor(np.zeros(32), requires_grad=True)
+        with Tape() as tape:
+            loss = tsum(mul(channel_norm(x, gamma, beta), Tensor(rand(x.shape, seed=80))))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            backward(tape, loss)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # the output grad and x.grad are one input size each; a g * xh product
+        # per vjp made it three
+        assert peak < 2.5 * x.data.nbytes, f"peak {peak} bytes for a {x.data.nbytes}-byte input"
 
     def test_single_value_rejected(self):
         with pytest.raises(ValueError, match="variance undefined"):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 
@@ -69,49 +70,57 @@ class _Collector:
         return "/".join(self.stack)
 
 
-_ACTIVE: _Collector | None = None
+#: the collection recording in this thread (or other execution context)
+_ACTIVE: ContextVar[_Collector | None] = ContextVar("rcnet_counting_collector", default=None)
 
 
 @contextmanager
 def collect(report: CountReport, root: str):
-    """Trace one forward pass into `report`, with all rows under `root/`."""
-    global _ACTIVE
-    if _ACTIVE is not None:
+    """Trace one forward pass into `report`, with all rows under `root/`.
+
+    One collection may be active at a time in each thread; a second one
+    inside the first raises `RuntimeError`.
+    """
+    if _ACTIVE.get() is not None:
         raise RuntimeError("a counting collection is already active")
-    _ACTIVE = _Collector(report)
-    _ACTIVE.stack.append(root)
+    collector = _Collector(report)
+    collector.stack.append(root)
     report.row(root)
+    _ACTIVE.set(collector)
     try:
         yield report
     finally:
-        _ACTIVE = None
+        _ACTIVE.set(None)
 
 
 @contextmanager
 def scope(name: str):
     """Name the operator whose ops execute inside this block."""
-    if _ACTIVE is None:
+    collector = _ACTIVE.get()
+    if collector is None:
         yield
         return
-    _ACTIVE.stack.append(name)
-    _ACTIVE.report.row(_ACTIVE.path())
+    collector.stack.append(name)
+    collector.report.row(collector.path())
     try:
         yield
     finally:
-        _ACTIVE.stack.pop()
+        collector.stack.pop()
 
 
 def add_macs(n: int):
-    if _ACTIVE is not None:
-        _ACTIVE.report.row(_ACTIVE.path()).macs += int(n)
+    collector = _ACTIVE.get()
+    if collector is not None:
+        collector.report.row(collector.path()).macs += int(n)
 
 
 def saw_param(tensor):
     """Attribute a named parameter to the current scope, once per collection."""
-    if _ACTIVE is None:
+    collector = _ACTIVE.get()
+    if collector is None:
         return
     key = id(tensor)
-    if key in _ACTIVE.seen_params:
+    if key in collector.seen_params:
         return
-    _ACTIVE.seen_params.add(key)
-    _ACTIVE.report.row(_ACTIVE.path()).params += int(tensor.size)
+    collector.seen_params.add(key)
+    collector.report.row(collector.path()).params += int(tensor.size)

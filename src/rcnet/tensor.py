@@ -6,15 +6,39 @@ finite differences. Ops compute in 64-bit floats, validate their inputs,
 and refuse to emit NaN/Inf silently.
 
 Recording is explicit: wrap the forward pass in a `Tape` context and call
-`backward(tape, loss)`. Without an active tape, ops run forward-only.
+`backward(tape, loss)`. Without an active tape, ops run forward-only. The
+active tape is held in a context variable, so each thread records into
+its own tape.
+
+Retention rule: the tape keeps only what backward reads. Each tensor has
+a grad cell (its shape, `requires_grad` and `grad`); a tape node holds
+the cells of an op's output and inputs plus one vjp per input, and each
+vjp closes over the arrays it reads and nothing else: never a `Tensor`.
+An intermediate whose data no vjp reads (the output of add, reshape,
+narrow, concat, transpose or the upsample, or the conv output in front
+of channel_norm, whose vjp reads only its own normalized x) is freed as
+soon as the forward drops it. `requires_grad` is read from the cells
+when backward runs.
 
 The reverse sweep runs in bounded memory. After `backward`, `.grad` is
 kept on leaves only (tensors that no tape op produced); each interior
-gradient is dropped as soon as its op's vjp has consumed it. A first
-gradient is stored without a copy when the vjp returned an array that
-owns its writeable float64 data and that no other input of the same op
-was handed; anything else (a view, a read-only broadcast, the one array
-`add` gives both inputs) is copied, and accumulation is out of place.
+gradient is dropped as soon as its op's vjp has consumed it.
+
+Grad-ownership rule: each gradient is written once. A later gradient is
+added in place, which is bitwise the out-of-place sum; narrow's vjp adds
+its slice into the input's grad. An interior first gradient is stored
+without a copy, views included, when it is writeable float64 and shares
+no memory with a gradient handed to another input of the same op (the
+one array `add` gives both inputs, or overlapping slices). A leaf's
+first gradient is stored without a copy only if it also owns its data
+and is C-contiguous, so a leaf's `.grad` always owns writeable,
+C-contiguous data; anything else is copied. An add in place writes only
+memory its own cell holds, since every vjp returns new memory or a view
+of its op's output grad and no two cells hold overlapping grads. When one
+tensor is an input of an op twice, the second add writes into the op's
+output grad; no later vjp of that op reads that part of it (the ops whose
+vjps return views have two inputs, or are concat, whose vjps read
+disjoint slices), and a new op must keep it so.
 
 conv2d picks its kernel by shape. A stride-1 conv with a kernel larger
 than 1x1 and fewer output than input channels (the one-channel FGU logit
@@ -26,8 +50,8 @@ better when Cout >= Cin. That path runs np.matmul on [N, K, P] views
 takes the bias in place, the weight vjp is g @ cols^T on views, and a
 1x1 stride-1 conv reads a view of x and gets its input vjp from one
 matmul. Neither path keeps a buffer on the tape: the im2col weight vjp
-rebuilds its buffer from the input the tape already holds, and the
-im2col input vjp accumulates kernel tap by kernel tap.
+rebuilds its buffer from the input data it holds, and the im2col input
+vjp accumulates kernel tap by kernel tap.
 
 The resampling kernels read strided views rather than building gather
 buffers. maxpool2d folds np.maximum over its k*k window views, and its
@@ -45,6 +69,7 @@ shares it between the x and the gamma vjp.
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -94,21 +119,49 @@ class TapeError(RuntimeError):
     """Tape misuse: nested recording, double backward, or a detached loss."""
 
 
+class _GradCell:
+    """What the tape keeps of a tensor: its shape, `requires_grad` and `grad`."""
+
+    __slots__ = ("shape", "requires_grad", "grad")
+
+    def __init__(self, shape: tuple[int, ...], requires_grad: bool):
+        self.shape = shape
+        self.requires_grad = requires_grad
+        self.grad: np.ndarray | None = None
+
+
 class Tensor:
     """N-dimensional float64 array with an optional gradient accumulator.
 
     Data is row-major and conceptually immutable once constructed; only
-    `grad` is written to (by `backward`). `name` is set for learnable
-    parameters so the counting harness can attribute them to operators.
+    `grad` is written to (by `backward`). `grad` and `requires_grad` live
+    in the tensor's grad cell, which the tape holds in place of the
+    tensor. `name` is set for learnable parameters so the counting harness
+    can attribute them to operators.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "name")
+    __slots__ = ("data", "name", "_cell")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = requires_grad
-        self.grad: np.ndarray | None = None
+        self._cell = _GradCell(self.data.shape, requires_grad)
         self.name = name
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return self._cell.grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray | None):
+        self._cell.grad = value
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._cell.requires_grad
+
+    @requires_grad.setter
+    def requires_grad(self, value: bool):
+        self._cell.requires_grad = value
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -129,74 +182,50 @@ class Tensor:
         tag = f", name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{tag})"
 
-    # arithmetic sugar; scalars take the cheap constant path
-    def __add__(self, other):
-        if isinstance(other, (int, float)):
-            return add_scalar(self, float(other))
-        return add(self, other)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (int, float)):
-            return add_scalar(self, -float(other))
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, 1.0 / float(other))
-        return div(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
+# A tape node: the output's grad cell, the inputs' grad cells, and one vjp
+# per input. A vjp maps the output grad to that input's grad: an array of
+# the input's shape, or an (index, array) pair for a grad that is zero
+# outside `index`.
+_Node = tuple[_GradCell, tuple[_GradCell, ...], tuple[Callable, ...]]
 
 
 class Tape:
     """Ordered record of executed ops; execution order is topological.
 
-    One tape may be active at a time (recording is confined to a single
-    execution context). `backward` may run once per tape until `reset`.
+    One tape may record at a time in each thread (or other execution
+    context); a second `with` inside the first raises. `backward` may run
+    once per tape until `reset`. The tape holds grad cells and the arrays
+    its vjps read, never a `Tensor`.
     """
 
     def __init__(self):
-        self._nodes: list[tuple[Tensor, list[Tensor], Callable[[np.ndarray], None]]] = []
+        self._nodes: list[_Node] = []
         self._spent = False
 
     def __enter__(self) -> "Tape":
-        global _ACTIVE_TAPE
-        if _ACTIVE_TAPE is not None:
+        if _ACTIVE_TAPE.get() is not None:
             raise TapeError("a tape is already recording; nested tapes are not allowed")
-        _ACTIVE_TAPE = self
+        _ACTIVE_TAPE.set(self)
         return self
 
     def __exit__(self, *exc):
-        global _ACTIVE_TAPE
-        _ACTIVE_TAPE = None
+        _ACTIVE_TAPE.set(None)
         return False
 
     def __len__(self) -> int:
         return len(self._nodes)
 
-    def _record(self, out: Tensor, inputs: list[Tensor], bw: Callable[[np.ndarray], None]):
-        self._nodes.append((out, inputs, bw))
-
     def reset(self):
         """Clear all gradients recorded through this tape and re-arm it."""
-        for out, inputs, _ in self._nodes:
+        for out, ins, _ in self._nodes:
             out.grad = None
-            for t in inputs:
-                t.grad = None
+            for cell in ins:
+                cell.grad = None
         self._spent = False
 
 
-_ACTIVE_TAPE: Tape | None = None
+_ACTIVE_TAPE: ContextVar[Tape | None] = ContextVar("rcnet_active_tape", default=None)
 
 
 def backward(tape: Tape, loss: Tensor):
@@ -217,32 +246,53 @@ def backward(tape: Tape, loss: Tensor):
         raise TapeError("backward already ran on this tape; call reset() first")
     idx = None
     for i in range(len(tape._nodes) - 1, -1, -1):
-        if tape._nodes[i][0] is loss:
+        if tape._nodes[i][0] is loss._cell:
             idx = i
             break
     if idx is None:
         raise TapeError("loss is not on the tape (detached graph)")
+    nodes = tape._nodes[: idx + 1]
+    interior = {id(out) for out, _, _ in nodes}  # every other cell is a leaf here
     loss.grad = np.ones_like(loss.data)
-    for out, _, bw in reversed(tape._nodes[: idx + 1]):
+    for out, ins, vjps in reversed(nodes):
         g, out.grad = out.grad, None
-        if g is not None:
-            bw(g)
+        if g is None:
+            continue
+        handed: list[np.ndarray] = []  # the grads already given to this op's inputs
+        for cell, vjp in zip(ins, vjps):
+            if cell.requires_grad:
+                handed.append(_accumulate(cell, vjp(g), id(cell) in interior, handed))
     tape._spent = True
 
 
-def _accumulate(t: Tensor, g: np.ndarray, shared: bool):
-    """Add `g` into `t.grad`, keeping a first `g` uncopied only if no one else holds it.
+def _accumulate(cell: _GradCell, gt, interior: bool, handed: list) -> np.ndarray:
+    """Add the vjp result `gt` into `cell.grad`, writing it once; return the array handed over.
 
-    `shared` marks an array already handed to another input of the same op.
+    A later grad is added in place. A first grad is kept uncopied when it
+    is writeable float64 and shares no memory with a grad `handed` to
+    another input of the same op; a leaf's must also own its data and be
+    C-contiguous. Anything else is copied into a new C-ordered array.
     """
-    if g.shape != t.data.shape:
-        raise TapeError(f"gradient shape {g.shape} != tensor shape {t.data.shape}")
-    if t.grad is not None:
-        t.grad = t.grad + g
-    elif shared or not (g.flags.owndata and g.flags.writeable and g.dtype == np.float64):
-        t.grad = np.array(g, dtype=np.float64, copy=True)
+    if isinstance(gt, tuple):  # (index, g): the grad is g at index and zero elsewhere
+        index, gt = gt
+        if cell.grad is None:
+            cell.grad = np.zeros(cell.shape)
+        cell.grad[index] += gt
+        return gt
+    if gt.shape != cell.shape:
+        raise TapeError(f"gradient shape {gt.shape} != tensor shape {cell.shape}")
+    if cell.grad is not None:
+        cell.grad += gt
+    elif (
+        gt.flags.writeable
+        and gt.dtype == np.float64
+        and (interior or (gt.flags.owndata and gt.flags.c_contiguous))
+        and not any(np.shares_memory(gt, h) for h in handed)
+    ):
+        cell.grad = gt
     else:
-        t.grad = g
+        cell.grad = np.array(gt, dtype=np.float64, order="C")
+    return gt
 
 
 def _finite(op: str, arr: np.ndarray) -> np.ndarray:
@@ -252,25 +302,22 @@ def _finite(op: str, arr: np.ndarray) -> np.ndarray:
 
 
 def _make(op: str, data: np.ndarray, vjps: Sequence[tuple[Tensor, Callable]]) -> Tensor:
-    """Finalize an op: finite-check, note params, record on the active tape."""
+    """Finalize an op: finite-check, note params, record on the active tape.
+
+    The tape keeps the inputs' grad cells and the vjps; each op binds what
+    its vjps read (arrays, shapes) to locals, so no vjp holds a `Tensor`.
+    """
     _finite(op, data)
     for t, _ in vjps:
         if t.name is not None:
             counting.saw_param(t)
     out = Tensor(data)
-    if _ACTIVE_TAPE is not None and any(t.requires_grad for t, _ in vjps):
+    tape = _ACTIVE_TAPE.get()
+    if tape is not None and any(t.requires_grad for t, _ in vjps):
         out.requires_grad = True
-        inputs = [t for t, _ in vjps]
-
-        def bw(g, _vjps=tuple(vjps)):
-            handed = []
-            for t, vjp in _vjps:
-                if t.requires_grad:
-                    gt = vjp(g)
-                    _accumulate(t, gt, any(gt is h for h in handed))
-                    handed.append(gt)
-
-        _ACTIVE_TAPE._record(out, inputs, bw)
+        tape._nodes.append(
+            (out._cell, tuple(t._cell for t, _ in vjps), tuple(vjp for _, vjp in vjps))
+        )
     return out
 
 
@@ -294,44 +341,48 @@ def _tensor(x) -> Tensor:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     a, b = _tensor(a), _tensor(b)
+    sa, sb = a.shape, b.shape
     return _make(
         "add",
         a.data + b.data,
-        [(a, lambda g: _unbroadcast(g, a.shape)), (b, lambda g: _unbroadcast(g, b.shape))],
+        [(a, lambda g: _unbroadcast(g, sa)), (b, lambda g: _unbroadcast(g, sb))],
     )
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     a, b = _tensor(a), _tensor(b)
+    sa, sb = a.shape, b.shape
     return _make(
         "sub",
         a.data - b.data,
-        [(a, lambda g: _unbroadcast(g, a.shape)), (b, lambda g: _unbroadcast(-g, b.shape))],
+        [(a, lambda g: _unbroadcast(g, sa)), (b, lambda g: _unbroadcast(-g, sb))],
     )
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     a, b = _tensor(a), _tensor(b)
+    ad, bd = a.data, b.data
     return _make(
         "mul",
-        a.data * b.data,
+        ad * bd,
         [
-            (a, lambda g: _unbroadcast(g * b.data, a.shape)),
-            (b, lambda g: _unbroadcast(g * a.data, b.shape)),
+            (a, lambda g: _unbroadcast(g * bd, ad.shape)),
+            (b, lambda g: _unbroadcast(g * ad, bd.shape)),
         ],
     )
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     a, b = _tensor(a), _tensor(b)
+    ad, bd = a.data, b.data
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = a.data / b.data
+        out = ad / bd
     return _make(
         "div",
         out,
         [
-            (a, lambda g: _unbroadcast(g / b.data, a.shape)),
-            (b, lambda g: _unbroadcast(-g * a.data / (b.data * b.data), b.shape)),
+            (a, lambda g: _unbroadcast(g / bd, ad.shape)),
+            (b, lambda g: _unbroadcast(-g * ad / (bd * bd), bd.shape)),
         ],
     )
 
@@ -377,13 +428,14 @@ def relu(a: Tensor) -> Tensor:
 
 def tsum(a: Tensor, axes: tuple[int, ...] | None = None, keepdims: bool = False) -> Tensor:
     out = a.data.sum(axis=axes, keepdims=keepdims)
+    shape = a.shape
 
     def vjp(g):
         if not keepdims and axes is not None:
             g = np.expand_dims(g, axes)
         elif axes is None and not keepdims:
-            g = np.asarray(g).reshape((1,) * a.ndim)
-        return np.broadcast_to(g, a.shape)
+            g = np.asarray(g).reshape((1,) * len(shape))
+        return np.broadcast_to(g, shape)
 
     return _make("sum", out, [(a, vjp)])
 
@@ -433,13 +485,9 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     sl = [slice(None)] * a.ndim
     sl[axis] = slice(start, start + length)
     sl = tuple(sl)
-
-    def vjp(g):
-        full = np.zeros(a.shape, dtype=np.float64)
-        full[sl] = g
-        return full
-
-    return _make("narrow", a.data[sl].copy(), [(a, vjp)])
+    # a view, like reshape and transpose: tensor data is never written; the
+    # vjp adds g into the slice of a's grad it came from
+    return _make("narrow", a.data[sl], [(a, lambda g: (sl, g))])
 
 
 def roll(a: Tensor, shift: int, axis: int) -> Tensor:
@@ -449,7 +497,8 @@ def roll(a: Tensor, shift: int, axis: int) -> Tensor:
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    return _make("reshape", a.data.reshape(shape), [(a, lambda g: g.reshape(a.shape))])
+    before = a.shape
+    return _make("reshape", a.data.reshape(shape), [(a, lambda g: g.reshape(before))])
 
 
 def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
@@ -461,7 +510,8 @@ def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
 
 def broadcast_to(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     out = np.broadcast_to(a.data, shape).copy()
-    return _make("broadcast_to", out, [(a, lambda g: _unbroadcast(g, a.shape))])
+    before = a.shape
+    return _make("broadcast_to", out, [(a, lambda g: _unbroadcast(g, before))])
 
 
 def pad2d(a: Tensor, top: int, bottom: int, left: int, right: int) -> Tensor:
@@ -519,15 +569,16 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     taps = [(i, j) for i in range(kh) for j in range(kw)]
     pointwise = kh == kw == 1 and stride == 1 and padding == 0
     K, P = Cin * kh * kw, Hp * Wp
-    wmat = weight.data.reshape(Cout, K)
+    xd, wd = x.data, weight.data
+    wmat = wd.reshape(Cout, K)
 
     def window(a, i, j):  # the pixels kernel tap (i, j) reads, one per output pixel
         return a[:, :, i : i + stride * Hp : stride, j : j + stride * Wp : stride]
 
     def im2col():  # [N, K, P]; the GEMMs below read it and its transpose as views
         if pointwise:
-            return x.data.reshape(N, Cin, P)  # a view: 1x1 convs copy nothing
-        xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+            return xd.reshape(N, Cin, P)  # a view when x is contiguous
+        xp = np.pad(xd, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
         cols = np.empty((N, Cin, kh, kw, Hp, Wp), dtype=np.float64)
         for i, j in taps:
             cols[:, :, i, j] = window(xp, i, j)
@@ -536,9 +587,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     out = np.matmul(wmat, im2col()).reshape(N, Cout, Hp, Wp)  # NCHW as it comes
     out += bias.data[:, None, None]
 
-    # Neither vjp reads a buffer kept from the forward: the tape holds x, so
-    # the weight vjp rebuilds the im2col buffer, and the input vjp holds one
-    # tap's [N, Cin, Hp, Wp] product at a time.
+    # Neither vjp reads a buffer kept from the forward: the weight vjp keeps
+    # x's data and rebuilds the im2col buffer from it, and the input vjp
+    # holds one tap's [N, Cin, Hp, Wp] product at a time.
     def vjp_x(g):
         g = g.reshape(N, Cout, P)
         if pointwise:
@@ -548,14 +599,16 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
         gxp = np.zeros((N, Cin, H + 2 * padding, W + 2 * padding), dtype=np.float64)
         for i, j in taps:
             tap = window(gxp, i, j)
-            tap += np.matmul(weight.data[:, :, i, j].T, g).reshape(N, Cin, Hp, Wp)
+            tap += np.matmul(wd[:, :, i, j].T, g).reshape(N, Cin, Hp, Wp)
         if padding:
             return gxp[:, :, padding : padding + H, padding : padding + W]
         return gxp
 
     def vjp_w(g):
         gw = np.matmul(g.reshape(N, Cout, P), im2col().transpose(0, 2, 1))  # [N, Cout, K]
-        return gw.sum(axis=0).reshape(weight.shape)
+        gwt = np.empty(wd.shape)  # owned, so the leaf keeps it without a copy
+        np.sum(gw, axis=0, out=gwt.reshape(Cout, K))
+        return gwt
 
     return _make(
         "conv2d",
@@ -587,6 +640,7 @@ def _conv2d_channel_first(x, weight, bias, padding, Hp, Wp) -> Tensor:
     N, Cin, H, W = x.shape
     Cout, _, kh, kw = weight.shape
     K = Cout * kh * kw
+    xd = x.data
     wk = weight.data.transpose(0, 2, 3, 1).reshape(K, Cin)  # rows ordered (o, i, j)
     spans = [
         (i, j, _tap_span(i, padding, H, Hp), _tap_span(j, padding, W, Wp))
@@ -594,7 +648,7 @@ def _conv2d_channel_first(x, weight, bias, padding, Hp, Wp) -> Tensor:
         for j in range(kw)
     ]
 
-    z = np.matmul(wk, x.data.reshape(N, Cin, H * W)).reshape(N, Cout, kh, kw, H, W)
+    z = np.matmul(wk, xd.reshape(N, Cin, H * W)).reshape(N, Cout, kh, kw, H, W)
     out = np.zeros((N, Cout, Hp, Wp), dtype=np.float64)
     for i, j, (oy, iy), (ox, ix) in spans:
         out[:, :, oy, ox] += z[:, :, i, j, iy, ix]
@@ -612,7 +666,7 @@ def _conv2d_channel_first(x, weight, bias, padding, Hp, Wp) -> Tensor:
         return gx
 
     def vjp_w(g):
-        gw = np.tensordot(scatter(g), x.data.reshape(N, Cin, H * W), axes=([0, 2], [0, 2]))
+        gw = np.tensordot(scatter(g), xd.reshape(N, Cin, H * W), axes=([0, 2], [0, 2]))
         return gw.reshape(Cout, kh, kw, Cin).transpose(0, 3, 1, 2)
 
     return _make(
@@ -711,17 +765,18 @@ def maxpool2d(x: Tensor, k: int, stride: int) -> Tensor:
     def window(a, i, j):  # the element tap (i, j) of every window
         return a[:, :, i : i + stride * Hp : stride, j : j + stride * Wp : stride]
 
-    out = window(x.data, 0, 0).copy()
+    xd = x.data
+    out = window(xd, 0, 0).copy()
     for i, j in taps[1:]:
         # on a tie np.maximum returns its second operand, so the earlier
         # tap's value is kept (its sign too, for a -0.0/0.0 tie)
-        np.maximum(window(x.data, i, j), out, out=out)
+        np.maximum(window(xd, i, j), out, out=out)
 
     def vjp(g):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros(xd.shape)
         unrouted = np.ones(out.shape, dtype=bool)
         for i, j in taps:
-            first = window(x.data, i, j) == out
+            first = window(xd, i, j) == out
             first &= unrouted
             unrouted ^= first
             tap = window(gx, i, j)
@@ -738,8 +793,9 @@ def global_avg_pool(x: Tensor) -> Tensor:
     H, W = x.shape[-2], x.shape[-1]
     out = x.data.mean(axis=(-2, -1), keepdims=True)
     inv = 1.0 / (H * W)
+    shape = x.shape
     return _make(
-        "global_avg_pool", out, [(x, lambda g: np.broadcast_to(g * inv, x.shape).copy())]
+        "global_avg_pool", out, [(x, lambda g: np.broadcast_to(g * inv, shape).copy())]
     )
 
 
@@ -785,14 +841,15 @@ def channel_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> T
 
     # Both the x and the gamma vjp need the per-channel sum of g * xh. The
     # x vjp runs first on the same g and hands its sum on when gamma is
-    # being differentiated too.
+    # being differentiated too. Neither reads x: its data is not kept.
     handed = []
+    gamma_cell = gamma._cell
 
     def vjp_x(g):
         # gx = (gh - mean(gh) - xh * mean(gh * xh)) / den with gh = g * gamma;
         # gamma is per channel, so it factors out of both means
         g_xh = _channel_dot(g, xh)
-        if gamma.requires_grad:
+        if gamma_cell.requires_grad:
             handed.append(g_xh)
         gx = xh * (g_xh * inv)
         gx -= g

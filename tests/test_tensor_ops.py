@@ -1,11 +1,17 @@
 """Forward semantics of the tensor core against independent oracles."""
 
+import threading
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 
+from rcnet import counting
+from rcnet.csn import csn_params, rcnet_forward
+from rcnet.fixtures import extend_stem, synth_backbone
 from rcnet.gradcheck import check_gradients
+from rcnet.revfp import revfp_params
 from rcnet.rng import SplitMix64
 from rcnet.tensor import (
     NonFiniteError,
@@ -24,6 +30,8 @@ from rcnet.tensor import (
     global_avg_pool,
     maxpool2d,
     mul,
+    narrow,
+    pad2d,
     relu,
     reshape,
     scale,
@@ -32,6 +40,7 @@ from rcnet.tensor import (
     sqrt,
     sub,
     tmean,
+    transpose,
     tsum,
 )
 
@@ -779,3 +788,152 @@ class TestTape:
         a = conv2d(Tensor(x), Tensor(w), Tensor(b), padding=1).data
         bb = conv2d(Tensor(x), Tensor(w), Tensor(b), padding=1).data
         assert np.array_equal(a, bb)
+
+
+    def test_requires_grad_toggled_after_forward_is_read_at_backward(self):
+        # the op was recorded because a required a grad; the flags the sweep
+        # reads are the ones set when it runs
+        a = Tensor(rand((3, 4), seed=81), requires_grad=True)
+        b = Tensor(rand((3, 4), seed=82))
+        with Tape() as tape:
+            loss = tsum(mul(a, b))
+        a.requires_grad, b.requires_grad = False, True
+        backward(tape, loss)
+        assert a.grad is None
+        assert np.array_equal(b.grad, a.data)
+
+    def test_two_threads_record_apart(self):
+        # each thread records its own tape and collection while the other's
+        # are open; neither sees the other's nodes or rows
+        both_open, both_recorded = threading.Barrier(2), threading.Barrier(2)
+        seen, errors = {}, []
+
+        def record(k):
+            try:
+                report = counting.CountReport()
+                x = Tensor(rand((2, 2), seed=90 + k), requires_grad=True)
+                with Tape() as tape, counting.collect(report, f"thread{k}"):
+                    both_open.wait(timeout=10)
+                    y = x
+                    for _ in range(k + 2):
+                        with counting.scope(f"op{k}"):
+                            y = scale(y, 2.0)
+                    both_recorded.wait(timeout=10)
+                seen[k] = (len(tape), sorted(report.rows))
+            except Exception as exc:  # surfaced in the main thread below
+                both_open.abort()
+                both_recorded.abort()
+                errors.append(exc)
+
+        threads = [threading.Thread(target=record, args=(k,)) for k in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors
+        assert seen[0] == (2, ["thread0", "thread0/op0"])
+        assert seen[1] == (3, ["thread1", "thread1/op1"])
+
+
+def _tensors_held(obj, seen=None) -> list:
+    """Every Tensor reachable from `obj` through containers and closures."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, Tensor):
+        return [obj]
+    if isinstance(obj, types.FunctionType):
+        inner = [c.cell_contents for c in obj.__closure__ or () if c.cell_contents is not None]
+        inner += list(obj.__defaults__ or ())
+    elif isinstance(obj, (list, tuple)):
+        inner = list(obj)
+    elif isinstance(obj, dict):
+        inner = list(obj.values())
+    else:
+        return []
+    return [t for o in inner for t in _tensors_held(o, seen)]
+
+
+class TestTapeRetention:
+    """The tape keeps grad cells and the arrays its vjps read, nothing else."""
+
+    def test_tape_holds_no_tensor(self, mini_cfg):
+        rp, cp = revfp_params(mini_cfg), csn_params(mini_cfg)
+        C = extend_stem(synth_backbone(mini_cfg), rp, mini_cfg)
+        with Tape() as tape:
+            out = rcnet_forward(C, mini_cfg, rp, cp)
+        assert len(tape) > 100
+        assert _tensors_held(tape._nodes) == []
+        del out
+
+    def test_shape_only_chain_keeps_no_activations(self):
+        x = Tensor(rand((1, 8, 128, 128), seed=83), requires_grad=True)  # 1 MiB
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with Tape() as tape:
+                y = add(x, x)
+                y = reshape(y, (1, 8, 64, 256))
+                y = concat([y, y], 1)
+                y = narrow(y, 1, 4, 8)
+                y = bilinear_upsample_x2(y)
+                loss = tsum(add(y, y))
+            del y
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # every vjp in the chain reads shapes only; a tape that keeps each
+        # output (about 10 inputs' worth here) fails this
+        assert held < x.data.nbytes, f"tape holds {held} bytes for a {x.data.nbytes}-byte input"
+        backward(tape, loss)
+        assert np.array_equal(x.grad, np.full(x.shape, 16.0))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda x: narrow(x, 1, 1, 2),
+            lambda x: concat([x, Tensor(rand((2, 3, 4, 6), seed=84))], 1),
+            lambda x: reshape(x, (2, 4, 4, 2, 3)),
+            lambda x: transpose(x, (0, 3, 1, 2)),
+            lambda x: pad2d(x, 1, 2, 0, 1),
+            lambda x: conv2d(x, Tensor(rand((5, 4, 3, 3), seed=85)), Tensor(np.zeros(5)), padding=1),
+            lambda x: conv2d(x, Tensor(rand((2, 4, 3, 3), seed=86)), Tensor(np.zeros(2)), padding=1),
+        ],
+        ids=["narrow", "concat", "reshape", "transpose", "pad2d", "conv3x3", "conv3x3_narrow"],
+    )
+    def test_leaf_grads_own_c_contiguous_data(self, build):
+        # interior grads may be views of a consumer's grad; a leaf's may not
+        x = Tensor(rand((2, 4, 4, 6), seed=87), requires_grad=True)
+        with Tape() as tape:
+            out = build(x)
+            loss = tsum(mul(out, Tensor(rand(out.shape, seed=88))))
+        backward(tape, loss)
+        flags = x.grad.flags
+        assert flags.owndata and flags.c_contiguous and flags.writeable
+
+    def test_conv_weight_grads_own_c_contiguous_data(self):
+        # the channel-first weight vjp returns a transposed view
+        x = Tensor(rand((1, 4, 5, 5), seed=89))
+        for cout in (2, 6):
+            w = Tensor(rand((cout, 4, 3, 3), seed=90), requires_grad=True)
+            with Tape() as tape:
+                loss = tsum(conv2d(x, w, Tensor(np.zeros(cout)), padding=1))
+            backward(tape, loss)
+            assert w.grad.flags.owndata and w.grad.flags.c_contiguous
+
+    def test_whole_and_four_narrow_blocks_accumulate_bitwise(self):
+        x = Tensor(rand((2, 8, 3, 4), seed=91), requires_grad=True)
+        p = rand(x.shape, seed=92)
+        qs = [rand((2, 2, 3, 4), seed=93 + b) for b in range(4)]
+        with Tape() as tape:
+            loss = tsum(mul(x, Tensor(p)))
+            for b, q in enumerate(qs):
+                loss = add(loss, tsum(mul(narrow(x, 1, 2 * b, 2), Tensor(q))))
+        backward(tape, loss)
+        want = p.copy()
+        for b, q in enumerate(qs):
+            want[:, 2 * b : 2 * b + 2] += q
+        assert np.array_equal(x.grad, want)
+        assert x.grad.flags.owndata and x.grad.flags.c_contiguous

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import counting
 from .accounting import count_all
 from .bench import dense_circulant_conv, scalar_kernel, shift_weighted_sum
 from .config import NeckConfig
@@ -140,51 +141,49 @@ def check_fgu_mean_weight(cfg: NeckConfig, trials: int = 10) -> CheckResult:
                 _rand(cfg, tag + "/b", (1,)),
                 _rand(cfg, tag + "/T", (1,)),
             )
-            trace: dict = {}
-            feature_guided_upsample(fine, coarse, site, trace, i)
-            weights = trace[("fgu_weights", i)].data
+            with counting.probes() as seen:
+                feature_guided_upsample(fine, coarse, site)
+            weights = seen["weights"].data
             worst = max(worst, float(np.max(np.abs(weights.mean(axis=(2, 3)) - 1.0))))
     return CheckResult("fgu_mean_weight", worst <= 1e-12, worst, 1e-12)
 
 
-def _revfp_trace(cfg: NeckConfig, seed_label: str = "convexity"):
+def _revfp_probes(cfg: NeckConfig, seed_label: str = "convexity"):
     store = revfp_params(cfg)
     data_cfg = cfg.replace(seed=fold_seed(cfg.seed, seed_label) % 2**64)
     C = prepare_inputs(data_cfg, store)
-    trace: dict = {}
-    out = revfp_forward(C, store, cfg, trace)
-    return C, store, trace, out
+    with counting.probes() as seen:
+        out = revfp_forward(C, store, cfg)
+    return C, store, seen, out
 
 
 def check_fusion_convexity(cfg: NeckConfig) -> CheckResult:
     """Pre-conv blends stay inside the elementwise envelope of their operands."""
-    _, _, trace, _ = _revfp_trace(cfg)
+    _, _, seen, _ = _revfp_probes(cfg)
     worst = 0.0
-    for kind in ("pre", "post"):
-        for i in cfg.levels():
-            key = (f"{kind}_blend", i)
-            if key not in trace:
-                continue
-            blend = trace[key].data
-            a, b = (t.data for t in trace[(f"{kind}_operands", i)])
-            lo, hi = np.minimum(a, b), np.maximum(a, b)
-            over = np.max((blend - hi) / np.maximum(1.0, np.abs(hi)))
-            under = np.max((lo - blend) / np.maximum(1.0, np.abs(lo)))
-            worst = max(worst, float(over), float(under), 0.0)
+    for key, operands in seen.items():  # one "{pre,post}/{i}/operands" key per fusion site
+        if not key.endswith("/operands"):
+            continue
+        blend = seen[key.removesuffix("operands") + "blend"].data
+        a, b = (t.data for t in operands)
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        over = np.max((blend - hi) / np.maximum(1.0, np.abs(hi)))
+        under = np.max((lo - blend) / np.maximum(1.0, np.abs(lo)))
+        worst = max(worst, float(over), float(under), 0.0)
     return CheckResult("fusion_convexity", worst <= 1e-12, worst, 1e-12)
 
 
 def check_boundary_rules(cfg: NeckConfig) -> CheckResult:
     """Bottom output equals its pre-fusion map; top pre-fusion map equals
     the lateral projection of the top input. Both bitwise."""
-    C, store, trace, out = _revfp_trace(cfg, "boundary")
-    bottom_ok = np.array_equal(out[cfg.l_min].data, trace[("p_prime", cfg.l_min)].data)
+    C, store, seen, out = _revfp_probes(cfg, "boundary")
+    bottom_ok = np.array_equal(out[cfg.l_min].data, seen[f"p_prime/{cfg.l_min}"].data)
     lat = conv2d(
         C[cfg.l_max],
         store[f"lateral/{cfg.l_max}/weight"],
         store[f"lateral/{cfg.l_max}/bias"],
     )
-    top_ok = np.array_equal(trace[("p_prime", cfg.l_max)].data, lat.data)
+    top_ok = np.array_equal(seen[f"p_prime/{cfg.l_max}"].data, lat.data)
     ok = bottom_ok and top_ok
     return CheckResult(
         "boundary_rules", ok, f"bottom={bottom_ok} top={top_ok}", "bitwise equality"
@@ -324,13 +323,28 @@ def check_shift_equivariance(cfg: NeckConfig) -> CheckResult:
     return CheckResult("shift_equivariance", worst == 0.0, worst, 0.0)
 
 
+def count_checks(report: counting.CountReport) -> dict[str, CheckResult]:
+    """The checks of one count report: each module total equals the sum of
+    the rows under that module, and the shift is billed 0 params, 0 MACs."""
+    sums: dict[str, dict[str, int]] = {}
+    for name, row in report.rows.items():
+        acc = sums.setdefault(name.split("/", 1)[0], {"params": 0, "macs": 0})
+        acc["params"] += row.params
+        acc["macs"] += row.macs
+    totals = report.module_totals()
+    row = report.rows.get("csn/scale_shift")
+    shift_ok = row is not None and row.params == 0 and row.macs == 0
+    shift = "row missing" if row is None else f"params={row.params} macs={row.macs}"
+    checks = [
+        CheckResult("count_totals_consistent", sums == totals, str(totals), "totals == sum of rows"),
+        CheckResult("shift_zero_cost", shift_ok, shift, "params == 0 and macs == 0"),
+    ]
+    return {c.name: c for c in checks}
+
+
 def check_shift_zero_cost(cfg: NeckConfig) -> CheckResult:
     """The counting trace must bill the shift 0 parameters and 0 MACs."""
-    report = count_all(cfg)
-    row = report.rows.get("csn/scale_shift")
-    ok = row is not None and row.params == 0 and row.macs == 0
-    measured = "row missing" if row is None else f"params={row.params} macs={row.macs}"
-    return CheckResult("shift_zero_cost", ok, measured, "params == 0 and macs == 0")
+    return count_checks(count_all(cfg))["shift_zero_cost"]
 
 
 def check_shift_sum_dense_equal(cfg: NeckConfig) -> CheckResult:
@@ -370,10 +384,10 @@ def check_context_mean_weight(cfg: NeckConfig) -> CheckResult:
     store = csn_params(cfg)
     hk, wk = cfg.resolution(cfg.k)
     Y = _rand(cfg, "ctx_mean/stack", (cfg.batch, cfg.d, cfg.num_levels, hk, wk))
-    trace: dict = {}
-    dual_global_context(Y, store, trace)
-    a = trace["scale_weights"].data
-    a2 = trace["spatial_weights"].data
+    with counting.probes() as seen:
+        dual_global_context(Y, store)
+    a = seen["scale_weights"].data
+    a2 = seen["spatial_weights"].data
     worst = max(
         float(np.max(np.abs(a.mean(axis=2) - 1.0))),
         float(np.max(np.abs(a2.mean(axis=(2, 3)) - 1.0))),

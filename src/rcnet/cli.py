@@ -20,6 +20,7 @@ from .bench import MIN_REPS, bench_shift
 from .checks import (
     CheckResult,
     SelectionError,
+    count_checks,
     run_gradient_suite,
     run_invariants,
     select_checks,
@@ -96,9 +97,9 @@ def _selected(args) -> list[str] | None:
     return [s.strip() for s in args.checks.split(",") if s.strip()]
 
 
-def _emit(report: dict, args, force_stdout: bool = False) -> None:
+def _emit(report: dict, args) -> None:
     text = json.dumps(report, indent=2)
-    if args.out and not force_stdout:
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
@@ -199,23 +200,8 @@ def cmd_count(args) -> int:
     names = select_checks(_selected(args), ["count_totals_consistent", "shift_zero_cost"])
     t0 = time.perf_counter_ns()
     counts = count_all(cfg)
-    totals = counts.module_totals()
-    sums_ok = all(
-        tuple(totals[m][k] for k in ("params", "macs")) == counts.total(m) for m in totals
-    )
-    shift_row = counts.rows.get("csn/scale_shift")
-    shift_ok = shift_row is not None and shift_row.params == 0 and shift_row.macs == 0
-    checks = [
-        CheckResult("count_totals_consistent", sums_ok, str(totals), "totals == sum of rows"),
-        CheckResult(
-            "shift_zero_cost",
-            shift_ok,
-            "row missing" if shift_row is None else f"params={shift_row.params} macs={shift_row.macs}",
-            "params == 0 and macs == 0",
-        ),
-    ]
     report = _report(
-        "count", cfg, [c for c in checks if c.name in names],
+        "count", cfg, [c for name, c in count_checks(counts).items() if name in names],
         counts=counts.to_dict(),
         timings_ns={"total": time.perf_counter_ns() - t0},
     )

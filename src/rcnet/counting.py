@@ -1,17 +1,19 @@
-"""Parameter and multiply-accumulate accounting.
+"""Scopes and probes: the one instrumentation mechanism of the forwards.
 
-A forward pass executed inside `collect()` is traced: convolutions report
-their MAC counts, named parameter tensors are attributed (once) to the
-operator scope that consumes them, and every entered scope gets a report
-row even when it costs nothing. The convention is deliberately narrow so
-zero-cost claims are crisp: only conv2d (including 1x1 "linear" convs)
-contributes MACs; elementwise ops, pooling, softmax, normalization, and
-index rearrangements all count 0.
+`scope(name)` names the operator whose ops execute inside it. The open
+names form one path per thread, read by two recorders that do nothing
+outside their blocks. Inside `probes()`, `probe(name, value)` keeps a
+value under "path/name", the path counted from the block and never
+holding a collection's root. Inside `collect()`, a forward is counted:
+convolutions report their MACs, named parameters are attributed (once)
+to the scope that consumes them, and every entered scope gets a row even
+when it costs nothing. Only conv2d (1x1 "linear" convs too) contributes
+MACs; elementwise ops, pooling, softmax, normalization and index
+rearrangements all count 0, so zero-cost claims are crisp.
 """
 
 from __future__ import annotations
 
-import json
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
@@ -56,22 +58,26 @@ class CountReport:
             "totals": self.module_totals(),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+
+#: the names of the scopes open in this thread (or other execution context)
+_PATH: ContextVar[tuple[str, ...]] = ContextVar("rcnet_counting_path", default=())
 
 
 class _Collector:
-    def __init__(self, report: CountReport):
+    def __init__(self, report: CountReport, root: str):
         self.report = report
-        self.stack: list[str] = []
+        self.root = (root,)
+        self.base = len(_PATH.get())  # scopes open outside the collection are not its rows
         self.seen_params: set[int] = set()
 
-    def path(self) -> str:
-        return "/".join(self.stack)
+    def row(self) -> CountRow:
+        return self.report.row("/".join(self.root + _PATH.get()[self.base:]))
 
 
 #: the collection recording in this thread (or other execution context)
 _ACTIVE: ContextVar[_Collector | None] = ContextVar("rcnet_counting_collector", default=None)
+#: the probe record of this context and the path length when it was opened
+_PROBES: ContextVar[tuple[dict, int] | None] = ContextVar("rcnet_counting_probes", default=None)
 
 
 @contextmanager
@@ -83,10 +89,8 @@ def collect(report: CountReport, root: str):
     """
     if _ACTIVE.get() is not None:
         raise RuntimeError("a counting collection is already active")
-    collector = _Collector(report)
-    collector.stack.append(root)
     report.row(root)
-    _ACTIVE.set(collector)
+    _ACTIVE.set(_Collector(report, root))
     try:
         yield report
     finally:
@@ -96,22 +100,39 @@ def collect(report: CountReport, root: str):
 @contextmanager
 def scope(name: str):
     """Name the operator whose ops execute inside this block."""
-    collector = _ACTIVE.get()
-    if collector is None:
-        yield
-        return
-    collector.stack.append(name)
-    collector.report.row(collector.path())
+    token = _PATH.set(_PATH.get() + (name,))
     try:
+        collector = _ACTIVE.get()
+        if collector is not None:
+            collector.row()
         yield
     finally:
-        collector.stack.pop()
+        _PATH.reset(token)
+
+
+@contextmanager
+def probes():
+    """Record the probes inside this block; yields {scope path/name: value}."""
+    seen: dict = {}
+    token = _PROBES.set((seen, len(_PATH.get())))
+    try:
+        yield seen
+    finally:
+        _PROBES.reset(token)
+
+
+def probe(name: str, value):
+    """Record `value` under the open scope path; nothing outside `probes()`."""
+    active = _PROBES.get()
+    if active is not None:
+        seen, base = active
+        seen["/".join(_PATH.get()[base:] + (name,))] = value
 
 
 def add_macs(n: int):
     collector = _ACTIVE.get()
     if collector is not None:
-        collector.report.row(collector.path()).macs += int(n)
+        collector.row().macs += int(n)
 
 
 def saw_param(tensor):
@@ -123,4 +144,4 @@ def saw_param(tensor):
     if key in collector.seen_params:
         return
     collector.seen_params.add(key)
-    collector.report.row(collector.path()).params += int(tensor.size)
+    collector.row().params += int(tensor.size)

@@ -169,7 +169,7 @@ def shift_aggregate(shifted: Tensor, params: ParamStore, d: int) -> Tensor:
     return add(original, _unfold_scales(x, dims))
 
 
-def dual_global_context(Y: Tensor, params: ParamStore, trace: dict | None = None) -> Tensor:
+def dual_global_context(Y: Tensor, params: ParamStore) -> Tensor:
     """Add pooled scale-axis and spatial-axis context back onto the stack.
 
     Each branch pools one axis group away, mixes channels with a 1x1 conv,
@@ -188,8 +188,7 @@ def dual_global_context(Y: Tensor, params: ParamStore, trace: dict | None = None
             params["context/scale/mid/bias"],
         )
     a = scale(softmax(v, (2,)), float(s))
-    if trace is not None:
-        trace["scale_weights"] = a
+    counting.probe("scale_weights", a)
     y1 = mul(Y, reshape(a, (n_, d, s, 1, 1)))
     z = tmean(y1, (2,))  # [N, d, h, w]
     with counting.scope("context/scale/out"):
@@ -201,8 +200,7 @@ def dual_global_context(Y: Tensor, params: ParamStore, trace: dict | None = None
     with counting.scope("context/spatial/mid"):
         v2 = conv2d(m, params["context/spatial/mid/weight"], params["context/spatial/mid/bias"])
     a2 = scale(softmax(v2, (2, 3)), float(h * w))
-    if trace is not None:
-        trace["spatial_weights"] = a2
+    counting.probe("spatial_weights", a2)
     y2 = mul(Y, reshape(a2, (n_, d, 1, h, w)))
     z2 = global_avg_pool(y2)  # [N, d, n, 1, 1]
     with counting.scope("context/spatial/out"):
@@ -232,9 +230,7 @@ def scatter_and_combine(Yc: Tensor, P: FeaturePyramid, k: int) -> FeaturePyramid
     return FeaturePyramid(out)
 
 
-def csn_forward(
-    P: FeaturePyramid, cfg: NeckConfig, params: ParamStore, trace: dict | None = None
-) -> FeaturePyramid:
+def csn_forward(P: FeaturePyramid, cfg: NeckConfig, params: ParamStore) -> FeaturePyramid:
     """gather -> shift -> aggregate -> context -> scatter, one pure function."""
     for i in cfg.levels():
         if i not in P:
@@ -245,21 +241,14 @@ def csn_forward(
     with counting.scope("scale_shift"):
         shifted = scale_shift(S, plan)
     Y = shift_aggregate(shifted, params, cfg.d)
-    Yc = dual_global_context(Y, params, trace)
-    if trace is not None:
-        trace["stack"] = S
-        trace["aggregated"] = Y
+    Yc = dual_global_context(Y, params)
     with counting.scope("scatter"):
         return scatter_and_combine(Yc, P, cfg.k)
 
 
 def rcnet_forward(
-    C: FeaturePyramid,
-    cfg: NeckConfig,
-    revfp_store: ParamStore,
-    csn_store: ParamStore,
-    trace: dict | None = None,
+    C: FeaturePyramid, cfg: NeckConfig, revfp_store: ParamStore, csn_store: ParamStore
 ) -> FeaturePyramid:
     """Full neck: bottom-up fusion, then cross-scale exchange added on top."""
-    P = revfp_forward(C, revfp_store, cfg, trace)
-    return csn_forward(P, cfg, csn_store, trace)
+    P = revfp_forward(C, revfp_store, cfg)
+    return csn_forward(P, cfg, csn_store)

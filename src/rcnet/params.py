@@ -52,12 +52,6 @@ class ParamStore:
     def __contains__(self, name: str) -> bool:
         return name in self._tensors
 
-    def __len__(self) -> int:
-        return len(self._tensors)
-
-    def names(self) -> list[str]:
-        return list(self._tensors)
-
     def tensors(self) -> list[Tensor]:
         return list(self._tensors.values())
 

@@ -85,10 +85,6 @@ class FeaturePyramid:
     def levels(self) -> list[int]:
         return list(self._tensors)
 
-    @property
-    def batch(self) -> int:
-        return next(iter(self._tensors.values())).shape[0]
-
     def __getitem__(self, level: int) -> Tensor:
         return self._tensors[level]
 
@@ -102,13 +98,6 @@ class FeaturePyramid:
         new = dict(self._tensors)
         new[level] = tensor
         return FeaturePyramid(new)
-
-    def allclose(self, other: "FeaturePyramid", atol: float = 0.0) -> bool:
-        if self.levels != other.levels:
-            return False
-        return all(
-            np.allclose(self[i].data, other[i].data, rtol=0.0, atol=atol) for i in self.levels
-        )
 
     def equal_bitwise(self, other: "FeaturePyramid") -> bool:
         if self.levels != other.levels:

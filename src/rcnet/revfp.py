@@ -95,9 +95,7 @@ def fusion_site(store: ParamStore, name: str) -> FusionSite:
     )
 
 
-def feature_guided_upsample(
-    c_fine: Tensor, c_coarse: Tensor, site: FguSite, trace: dict | None = None, key=None
-) -> Tensor:
+def feature_guided_upsample(c_fine: Tensor, c_coarse: Tensor, site: FguSite) -> Tensor:
     """Upsample `c_coarse` 2x and reweight it by attention from `c_fine`.
 
     The spatial logits come from a 3x3 conv over concat(fine, upsampled),
@@ -114,8 +112,7 @@ def feature_guided_upsample(
     logits = conv2d(concat([c_fine, up], 1), site.weight, site.bias, padding=1)
     scaled = mul(logits, scale(site.temperature, d**-0.5))
     weights = scale(softmax(scaled, (2, 3)), float(h * w))
-    if trace is not None:
-        trace[("fgu_weights", key)] = weights
+    counting.probe("weights", weights)
     return mul(up, weights)
 
 
@@ -132,53 +129,20 @@ def dynamic_weight(a: Tensor, b: Tensor, head_weight: Tensor, head_bias: Tensor)
     return sigmoid(conv2d(pooled, head_weight, head_bias))
 
 
-def _blend(current: Tensor, other: Tensor, w: Tensor) -> Tensor:
-    return add(mul(w, current), mul(sub(Tensor(1.0), w), other))
+def fuse(current: Tensor, other: Tensor, site: FusionSite) -> Tensor:
+    """norm(conv(w*current + (1-w)*other)), w from the gate, which rejects unequal shapes."""
+    with counting.scope("head"):
+        w = dynamic_weight(current, other, site.head_weight, site.head_bias)
+    blend = add(mul(w, current), mul(sub(Tensor(1.0), w), other))
+    counting.probe("blend", blend)
+    counting.probe("operands", (current, other))
+    with counting.scope("conv"):
+        out = conv2d(blend, site.conv_weight, site.conv_bias, padding=1)
+    with counting.scope("norm"):
+        return channel_norm(out, site.gamma, site.beta)
 
 
-def pre_fuse(
-    c_i: Tensor, guided: Tensor, site: FusionSite, name: str = "pre",
-    trace: dict | None = None, key=None,
-) -> Tensor:
-    with counting.scope(name):
-        with counting.scope("head"):
-            w = dynamic_weight(c_i, guided, site.head_weight, site.head_bias)
-        blend = _blend(c_i, guided, w)
-        if trace is not None:
-            trace[("pre_blend", key)] = blend
-            trace[("pre_operands", key)] = (c_i, guided)
-        with counting.scope("conv"):
-            out = conv2d(blend, site.conv_weight, site.conv_bias, padding=1)
-        with counting.scope("norm"):
-            return channel_norm(out, site.gamma, site.beta)
-
-
-def post_fuse(
-    p_prime: Tensor, p_prev: Tensor, site: FusionSite, name: str = "post",
-    trace: dict | None = None, key=None,
-) -> Tensor:
-    n, d, h, w = p_prime.shape
-    if p_prev.shape != (n, d, 2 * h, 2 * w):
-        raise ValueError(
-            f"post_fuse: previous level shape {p_prev.shape} is not twice {p_prime.shape}"
-        )
-    with counting.scope(name):
-        down = maxpool2d(p_prev, 2, 2)
-        with counting.scope("head"):
-            wgt = dynamic_weight(p_prime, down, site.head_weight, site.head_bias)
-        blend = _blend(p_prime, down, wgt)
-        if trace is not None:
-            trace[("post_blend", key)] = blend
-            trace[("post_operands", key)] = (p_prime, down)
-        with counting.scope("conv"):
-            out = conv2d(blend, site.conv_weight, site.conv_bias, padding=1)
-        with counting.scope("norm"):
-            return channel_norm(out, site.gamma, site.beta)
-
-
-def revfp_forward(
-    C: FeaturePyramid, params: ParamStore, cfg: NeckConfig, trace: dict | None = None
-) -> FeaturePyramid:
+def revfp_forward(C: FeaturePyramid, params: ParamStore, cfg: NeckConfig) -> FeaturePyramid:
     """Bottom-up pass over all levels; see the module docstring for the rule."""
     for i in cfg.levels():
         if i not in C:
@@ -195,21 +159,16 @@ def revfp_forward(
     for i in cfg.levels():
         if i < cfg.l_max:
             with counting.scope(f"fgu/{i}"):
-                guided = feature_guided_upsample(
-                    lateral[i], lateral[i + 1], fgu_site(params, i), trace, i
-                )
-            p_prime = pre_fuse(
-                lateral[i], guided, fusion_site(params, f"pre/{i}"), f"pre/{i}", trace, i
-            )
+                guided = feature_guided_upsample(lateral[i], lateral[i + 1], fgu_site(params, i))
+            with counting.scope(f"pre/{i}"):
+                p_prime = fuse(lateral[i], guided, fusion_site(params, f"pre/{i}"))
         else:
             p_prime = lateral[i]  # top boundary: nothing above to pre-fuse
-        if trace is not None:
-            trace[("p_prime", i)] = p_prime
-            trace[("lateral", i)] = lateral[i]
+        counting.probe(f"p_prime/{i}", p_prime)
         if i == cfg.l_min:
             out[i] = p_prime  # bottom boundary: nothing below to post-fuse
         else:
-            out[i] = post_fuse(
-                p_prime, out[i - 1], fusion_site(params, f"post/{i}"), f"post/{i}", trace, i
-            )
+            with counting.scope(f"post/{i}"):
+                site = fusion_site(params, f"post/{i}")
+                out[i] = fuse(p_prime, maxpool2d(out[i - 1], 2, 2), site)
     return FeaturePyramid(out)

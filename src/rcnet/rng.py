@@ -51,9 +51,6 @@ class SplitMix64:
         with np.errstate(over="ignore"):
             return _mix64(self._seed + idx * _GOLDEN)
 
-    def next_u64(self) -> int:
-        return int(self.words(1)[0])
-
     def uniforms(self, count: int) -> np.ndarray:
         """`count` doubles in (0, 1], each from the top 53 bits of one word."""
         return ((self.words(count) >> np.uint64(11)).astype(np.float64) + 1.0) * (2.0**-53)

@@ -8,6 +8,7 @@ import pytest
 from rcnet import checks as checks_mod
 from rcnet.checks import CheckResult
 from rcnet.cli import main
+from rcnet.counting import CountReport
 from rcnet.pyramid import load_pyramid
 
 
@@ -131,6 +132,22 @@ def test_count_reports_zero_cost_shift(mini_cfg_file, tmp_path):
     assert row == {"params": 0, "macs": 0}
     assert report["checks"]["shift_zero_cost"]["pass"]
     assert set(report["counts"]["totals"]) == {"fpn", "revfp", "csn"}
+
+
+def test_count_totals_check_catches_a_wrong_total(mini_cfg_file, tmp_path, monkeypatch):
+    # the check must compare the totals with the rows, not with themselves
+    total = CountReport.total
+
+    def off_by_one(self, prefix=""):
+        params, macs = total(self, prefix)
+        return params + 1, macs
+
+    monkeypatch.setattr(CountReport, "total", off_by_one)
+    out = tmp_path / "count.json"
+    assert main(["count", "--config", mini_cfg_file, "--out", str(out)]) == 1
+    report = read_report(out)
+    assert not report["checks"]["count_totals_consistent"]["pass"]
+    assert report["checks"]["shift_zero_cost"]["pass"]
 
 
 def test_bench_shift_report(mini_cfg_file, tmp_path):

@@ -5,10 +5,16 @@ The oracle below recounts each architecture from its structure alone
 exactly. Conv MACs are N*Cout*H'*W'*Cin*kh*kw; everything else is 0.
 """
 
+from contextlib import nullcontext
+
 import numpy as np
 
+from rcnet import counting
 from rcnet.accounting import count_all
 from rcnet.counting import CountReport, collect, scope
+from rcnet.csn import csn_forward, csn_params
+from rcnet.fixtures import prepare_inputs
+from rcnet.revfp import revfp_forward, revfp_params
 from rcnet.rng import SplitMix64
 from rcnet.tensor import Tensor, conv2d
 
@@ -166,3 +172,56 @@ def test_params_attributed_once(desk_cfg):
     from rcnet.revfp import revfp_params
 
     assert report.total("revfp")[0] == revfp_params(desk_cfg).param_count()
+
+
+def test_collect_rows_start_at_root():
+    report = CountReport()
+    with scope("outer"), collect(report, "root"), scope("inner"):
+        pass
+    assert list(report.rows) == ["root", "root/inner"]
+
+
+class TestProbes:
+    def test_probe_outside_probes_records_nothing(self):
+        counting.probe("before", 0.0)  # no block open: a no-op, not an error
+        with counting.probes() as seen:
+            counting.probe("inside", 1.0)
+        counting.probe("after", 2.0)
+        assert seen == {"inside": 1.0}
+
+    def test_keys_are_the_scopes_opened_inside_the_block(self):
+        with scope("outer"), counting.probes() as seen, scope("a"), scope("b"):
+            counting.probe("value", 3.0)
+        assert seen == {"a/b/value": 3.0}
+
+    @staticmethod
+    def neck_probes(cfg, counted=False) -> dict:
+        rp, cp = revfp_params(cfg), csn_params(cfg)
+        C = prepare_inputs(cfg, rp)
+        with counting.probes() as seen:
+            # a traced run opens a collection around each forward, inside the check's block
+            with collect(CountReport(), "revfp") if counted else nullcontext():
+                P = revfp_forward(C, rp, cfg)
+            with collect(CountReport(), "csn") if counted else nullcontext():
+                csn_forward(P, cfg, cp)
+        return seen
+
+    def test_forwards_probe_what_the_checks_read(self, mini_cfg):
+        lo, hi = mini_cfg.l_min, mini_cfg.l_max
+        want = {"scale_weights", "spatial_weights"} | {f"p_prime/{i}" for i in range(lo, hi + 1)}
+        for i in range(lo, hi):
+            want |= {f"fgu/{i}/weights", f"pre/{i}/blend", f"pre/{i}/operands"}
+        for i in range(lo + 1, hi + 1):
+            want |= {f"post/{i}/blend", f"post/{i}/operands"}
+        assert set(self.neck_probes(mini_cfg)) == want
+
+    def test_probes_are_the_same_inside_a_collection(self, mini_cfg):
+        plain = self.neck_probes(mini_cfg)
+        counted = self.neck_probes(mini_cfg, counted=True)
+        assert list(plain) == list(counted)
+
+        def arrays(value):
+            return [t.data.tobytes() for t in (value if isinstance(value, tuple) else (value,))]
+
+        for key, value in plain.items():
+            assert arrays(value) == arrays(counted[key]), key

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from rcnet import counting
 from rcnet.config import SHIFT_OFFSETS
 from rcnet.csn import (
     ShiftPlan,
@@ -166,19 +167,19 @@ class TestDualGlobalContext:
     def test_constant_stack_uniform_weights(self, mini_cfg):
         store = csn_params(mini_cfg)
         Y = Tensor(np.full((1, mini_cfg.d, 5, 8, 8), 1.3))
-        trace = {}
-        dual_global_context(Y, store, trace)
-        a, a2 = trace["scale_weights"].data, trace["spatial_weights"].data
+        with counting.probes() as seen:
+            dual_global_context(Y, store)
+        a, a2 = seen["scale_weights"].data, seen["spatial_weights"].data
         assert np.max(np.abs(a - 1.0)) <= 1e-12
         assert np.max(np.abs(a2 - 1.0)) <= 1e-12
 
     def test_mean_weight_is_one(self, mini_cfg):
         store = csn_params(mini_cfg)
         Y = rand((2, mini_cfg.d, 5, 4, 4), 21)
-        trace = {}
-        dual_global_context(Y, store, trace)
-        assert np.max(np.abs(trace["scale_weights"].data.mean(axis=2) - 1.0)) <= 1e-12
-        assert np.max(np.abs(trace["spatial_weights"].data.mean(axis=(2, 3)) - 1.0)) <= 1e-12
+        with counting.probes() as seen:
+            dual_global_context(Y, store)
+        assert np.max(np.abs(seen["scale_weights"].data.mean(axis=2) - 1.0)) <= 1e-12
+        assert np.max(np.abs(seen["spatial_weights"].data.mean(axis=(2, 3)) - 1.0)) <= 1e-12
 
     def test_matches_step_by_step_oracle(self, mini_cfg):
         d = mini_cfg.d

@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
+from rcnet import counting
 from rcnet.checks import SEVER_BIAS, _severed_store
 from rcnet.fixtures import extend_stem, synth_backbone
 from rcnet.revfp import (
     FguSite,
     dynamic_weight,
     feature_guided_upsample,
-    post_fuse,
-    pre_fuse,
+    fuse,
     revfp_forward,
     revfp_params,
 )
@@ -57,9 +57,9 @@ class TestFeatureGuidedUpsample:
 
     def test_mean_weight_is_one(self):
         d = 4
-        trace = {}
-        feature_guided_upsample(rand((2, d, 6, 6), 3), rand((2, d, 3, 3), 4), rand_site(d, 5), trace, 0)
-        w = trace[("fgu_weights", 0)].data
+        with counting.probes() as seen:
+            feature_guided_upsample(rand((2, d, 6, 6), 3), rand((2, d, 3, 3), 4), rand_site(d, 5))
+        w = seen["weights"].data
         assert np.max(np.abs(w.mean(axis=(2, 3)) - 1.0)) <= 1e-12
 
     def test_temperature_scales_logits(self):
@@ -140,16 +140,16 @@ class TestFusionSteps:
             site = _site(d, 22)
             site.head_bias.data[:] = bias
             site.head_weight.data[:] = 0.0
-            trace = {}
-            pre_fuse(c_i, guided, site, trace=trace, key=0)
-            assert np.array_equal(trace[("pre_blend", 0)].data, want.data)
+            with counting.probes() as seen:
+                fuse(c_i, guided, site)
+            assert np.array_equal(seen["blend"].data, want.data)
 
     def test_blend_inside_envelope(self):
         d = 4
         c_i, guided = rand((2, d, 6, 6), 23), rand((2, d, 6, 6), 24)
-        trace = {}
-        pre_fuse(c_i, guided, _site(d, 25), trace=trace, key=0)
-        blend = trace[("pre_blend", 0)].data
+        with counting.probes() as seen:
+            fuse(c_i, guided, _site(d, 25))
+        blend = seen["blend"].data
         lo = np.minimum(c_i.data, guided.data)
         hi = np.maximum(c_i.data, guided.data)
         assert np.all(blend >= lo - 1e-12) and np.all(blend <= hi + 1e-12)
@@ -158,9 +158,9 @@ class TestFusionSteps:
         d = 4
         p_prime, p_prev = rand((1, d, 4, 4), 26), rand((1, d, 8, 8), 27)
         site = _site(d, 28)
-        got = post_fuse(p_prime, p_prev, site).data
-
         down = maxpool2d(p_prev, 2, 2)
+        got = fuse(p_prime, down, site).data
+
         w = sigmoid(
             conv2d(global_avg_pool(concat([p_prime, down], 1)), site.head_weight, site.head_bias)
         ).data
@@ -170,10 +170,10 @@ class TestFusionSteps:
         ).data
         assert np.max(np.abs(got - want)) <= 1e-12
 
-    def test_post_resolution_mismatch_rejected(self):
+    def test_unequal_operands_rejected(self):
         d = 4
-        with pytest.raises(ValueError, match="twice"):
-            post_fuse(rand((1, d, 4, 4), 29), rand((1, d, 6, 6), 30), _site(d, 31))
+        with pytest.raises(ValueError, match="operand shapes"):
+            fuse(rand((1, d, 4, 4), 29), rand((1, d, 8, 8), 30), _site(d, 31))
 
 
 class TestRevfpForward:
@@ -187,11 +187,11 @@ class TestRevfpForward:
     def test_boundary_rules_bitwise(self, mini_cfg):
         store = revfp_params(mini_cfg)
         C = extend_stem(synth_backbone(mini_cfg), store, mini_cfg)
-        trace = {}
-        out = revfp_forward(C, store, mini_cfg, trace)
-        assert np.array_equal(out[3].data, trace[("p_prime", 3)].data)
+        with counting.probes() as seen:
+            out = revfp_forward(C, store, mini_cfg)
+        assert np.array_equal(out[3].data, seen["p_prime/3"].data)
         lat = conv2d(C[7], store["lateral/7/weight"], store["lateral/7/bias"])
-        assert np.array_equal(trace[("p_prime", 7)].data, lat.data)
+        assert np.array_equal(seen["p_prime/7"].data, lat.data)
 
     def test_bidirectional_reach(self, mini_cfg):
         store = revfp_params(mini_cfg)

@@ -32,11 +32,16 @@ from .tensor import (
     global_avg_pool,
     maxpool2d,
     mul,
+    narrow,
     scale,
     sigmoid,
     softmax,
     sub,
 )
+
+
+#: the bias of the FGU's second logit conv; the first one adds the site's
+_ZERO_BIAS = Tensor([0.0])
 
 
 @dataclass
@@ -101,7 +106,10 @@ def feature_guided_upsample(c_fine: Tensor, c_coarse: Tensor, site: FguSite) -> 
     The spatial logits come from a 3x3 conv over concat(fine, upsampled),
     scaled by temperature/sqrt(d); softmax over all positions is rescaled
     by H*W so the weights average to exactly 1 and a constant-logit map
-    leaves the upsampled features untouched.
+    leaves the upsampled features untouched. The conv runs as two convs,
+    one per half of the weight's input channels, whose sum is the conv of
+    the concat: no [N, 2d, H, W] copy is made or kept for backward, and
+    the MACs are the same.
     """
     n, d, h, w = c_fine.shape
     if c_coarse.shape != (n, d, h // 2, w // 2) or h % 2 or w % 2:
@@ -109,7 +117,10 @@ def feature_guided_upsample(c_fine: Tensor, c_coarse: Tensor, site: FguSite) -> 
             f"feature_guided_upsample: coarse shape {c_coarse.shape} is not half of {c_fine.shape}"
         )
     up = bilinear_upsample_x2(c_coarse)
-    logits = conv2d(concat([c_fine, up], 1), site.weight, site.bias, padding=1)
+    logits = add(
+        conv2d(c_fine, narrow(site.weight, 1, 0, d), site.bias, padding=1),
+        conv2d(up, narrow(site.weight, 1, d, d), _ZERO_BIAS, padding=1),
+    )
     scaled = mul(logits, scale(site.temperature, d**-0.5))
     weights = scale(softmax(scaled, (2, 3)), float(h * w))
     counting.probe("weights", weights)

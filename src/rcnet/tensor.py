@@ -10,19 +10,24 @@ Recording is explicit: wrap the forward pass in a `Tape` context and call
 active tape is held in a context variable, so each thread records into
 its own tape.
 
-Retention rule: the tape keeps only what backward reads. Each tensor has
-a grad cell (its shape, `requires_grad` and `grad`); a tape node holds
-the cells of an op's output and inputs plus one vjp per input, and each
-vjp closes over the arrays it reads and nothing else: never a `Tensor`.
-An intermediate whose data no vjp reads (the output of add, reshape,
-narrow, concat, transpose or the upsample, or the conv output in front
-of channel_norm, whose vjp reads only its own normalized x) is freed as
-soon as the forward drops it. `requires_grad` is read from the cells
-when backward runs.
+Retention rule: the tape keeps only what backward reads, and only until
+backward has read it. Each tensor has a grad cell (its shape,
+`requires_grad`, `grad` and name); a tape node holds the cells of an op's
+output and inputs plus one vjp per input, and each vjp closes over the
+arrays it reads and nothing else: never a `Tensor`. An intermediate whose
+data no vjp reads (the output of add, reshape, narrow, concat, transpose
+or the upsample, or the conv output in front of channel_norm, whose vjp
+reads only its own normalized x) is freed as soon as the forward drops
+it. `requires_grad` is read from the cells when backward runs.
 
-The reverse sweep runs in bounded memory. After `backward`, `.grad` is
-kept on leaves only (tensors that no tape op produced); each interior
-gradient is dropped as soon as its op's vjp has consumed it.
+The reverse sweep consumes the tape. `backward` takes the nodes off the
+tape, so a tape is swept once, and frees each node, with its cells, its
+vjps and the arrays they read, as soon as its vjps have run: an array
+only the tape kept is freed while the sweep goes on. Nothing is
+recomputed. After `backward`, `.grad` is kept on leaves only (tensors that
+no tape op produced); each interior gradient is dropped as soon as its
+op's vjp has consumed it. A leaf gradient that is not finite when the
+sweep ends raises `NonFiniteError`, as a non-finite forward value does.
 
 Grad-ownership rule: each gradient is written once. A later gradient is
 added in place, which is bitwise the out-of-place sum; narrow's vjp adds
@@ -120,32 +125,41 @@ class TapeError(RuntimeError):
 
 
 class _GradCell:
-    """What the tape keeps of a tensor: its shape, `requires_grad` and `grad`."""
+    """What the tape keeps of a tensor: its shape, `requires_grad`, `grad` and name."""
 
-    __slots__ = ("shape", "requires_grad", "grad")
+    __slots__ = ("shape", "requires_grad", "grad", "name")
 
-    def __init__(self, shape: tuple[int, ...], requires_grad: bool):
+    def __init__(self, shape: tuple[int, ...], requires_grad: bool, name: str | None):
         self.shape = shape
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
+        self.name = name
 
 
 class Tensor:
     """N-dimensional float64 array with an optional gradient accumulator.
 
     Data is row-major and conceptually immutable once constructed; only
-    `grad` is written to (by `backward`). `grad` and `requires_grad` live
-    in the tensor's grad cell, which the tape holds in place of the
-    tensor. `name` is set for learnable parameters so the counting harness
-    can attribute them to operators.
+    `grad` is written to (by `backward`). `grad`, `requires_grad` and
+    `name` live in the tensor's grad cell, which the tape holds in place
+    of the tensor. `name` is set for learnable parameters so the counting
+    harness can attribute them to operators and `backward` can name a
+    leaf whose gradient is not finite.
     """
 
-    __slots__ = ("data", "name", "_cell")
+    __slots__ = ("data", "_cell")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         self.data = np.asarray(data, dtype=np.float64)
-        self._cell = _GradCell(self.data.shape, requires_grad)
-        self.name = name
+        self._cell = _GradCell(self.data.shape, requires_grad, name)
+
+    @property
+    def name(self) -> str | None:
+        return self._cell.name
+
+    @name.setter
+    def name(self, value: str | None):
+        self._cell.name = value
 
     @property
     def grad(self) -> np.ndarray | None:
@@ -194,9 +208,10 @@ class Tape:
     """Ordered record of executed ops; execution order is topological.
 
     One tape may record at a time in each thread (or other execution
-    context); a second `with` inside the first raises. `backward` may run
-    once per tape until `reset`. The tape holds grad cells and the arrays
-    its vjps read, never a `Tensor`.
+    context); a second `with` inside the first raises. `backward` sweeps a
+    tape once: it takes the nodes off the tape and frees each one as soon
+    as its vjps have run, so afterwards the tape is empty and spent. The
+    tape holds grad cells and the arrays its vjps read, never a `Tensor`.
     """
 
     def __init__(self):
@@ -216,14 +231,6 @@ class Tape:
     def __len__(self) -> int:
         return len(self._nodes)
 
-    def reset(self):
-        """Clear all gradients recorded through this tape and re-arm it."""
-        for out, ins, _ in self._nodes:
-            out.grad = None
-            for cell in ins:
-                cell.grad = None
-        self._spent = False
-
 
 _ACTIVE_TAPE: ContextVar[Tape | None] = ContextVar("rcnet_active_tape", default=None)
 
@@ -231,38 +238,55 @@ _ACTIVE_TAPE: ContextVar[Tape | None] = ContextVar("rcnet_active_tape", default=
 def backward(tape: Tape, loss: Tensor):
     """Reverse-sweep `tape`, accumulating dLoss/dLeaf into leaf `.grad`s.
 
-    `loss` must be a scalar produced on this tape. A second sweep without
-    `tape.reset()` raises, since grads would silently double.
+    `loss` must be a scalar produced on this tape. A tape is swept once:
+    the sweep takes its nodes, so a second `backward` on it raises, and so
+    does one after a sweep that raised part way.
 
-    Each op's output gradient is taken off its tensor before the op's vjp
-    runs, so afterwards every tensor the swept ops produced, `loss`
-    included, has `grad is None`; only leaves keep theirs. At most the
-    gradients of the tensors still awaiting their producer's vjp are live
-    at any point of the sweep.
+    Each node is dropped, with its grad cells and its vjps and the arrays
+    they read, as soon as its vjps have run; an array only the tape kept
+    is freed during the sweep. Each op's output gradient is taken off its
+    tensor before the op's vjp runs, so afterwards every tensor the swept
+    ops produced, `loss` included, has `grad is None`; only leaves keep
+    theirs. At most the gradients of the tensors still awaiting their
+    producer's vjp are live at any point of the sweep. A leaf gradient
+    that ends the sweep non-finite raises `NonFiniteError`.
     """
     if loss.size != 1:
         raise TapeError(f"loss must be scalar, got shape {loss.shape}")
     if tape._spent:
-        raise TapeError("backward already ran on this tape; call reset() first")
+        raise TapeError("backward already ran on this tape; a tape is swept once")
+    nodes = tape._nodes
     idx = None
-    for i in range(len(tape._nodes) - 1, -1, -1):
-        if tape._nodes[i][0] is loss._cell:
+    for i in range(len(nodes) - 1, -1, -1):
+        if nodes[i][0] is loss._cell:
             idx = i
             break
     if idx is None:
         raise TapeError("loss is not on the tape (detached graph)")
-    nodes = tape._nodes[: idx + 1]
-    interior = {id(out) for out, _, _ in nodes}  # every other cell is a leaf here
-    loss.grad = np.ones_like(loss.data)
-    for out, ins, vjps in reversed(nodes):
-        g, out.grad = out.grad, None
-        if g is None:
-            continue
-        handed: list[np.ndarray] = []  # the grads already given to this op's inputs
-        for cell, vjp in zip(ins, vjps):
-            if cell.requires_grad:
-                handed.append(_accumulate(cell, vjp(g), id(cell) in interior, handed))
     tape._spent = True
+    tape._nodes = []
+    del nodes[idx + 1 :]  # ops recorded after the loss do not reach it
+    interior = {out for out, _, _ in nodes}  # every other cell is a leaf here
+    leaves = {cell: None for _, ins, _ in nodes for cell in ins if cell not in interior}
+    loss.grad = np.ones_like(loss.data)
+    while nodes:
+        _sweep_node(nodes.pop(), interior)  # the node, and all it holds, is freed on return
+    for cell in leaves:
+        if cell.grad is not None and not np.isfinite(cell.grad).all():
+            label = f"leaf {cell.name!r}" if cell.name else f"a leaf of shape {cell.shape}"
+            raise NonFiniteError(f"backward produced a non-finite gradient for {label}")
+
+
+def _sweep_node(node: _Node, interior: set):
+    """Take the node's output grad off its cell and run the node's vjps on it."""
+    out, ins, vjps = node
+    g, out.grad = out.grad, None
+    if g is None:
+        return
+    handed: list[np.ndarray] = []  # the grads already given to this op's inputs
+    for cell, vjp in zip(ins, vjps):
+        if cell.requires_grad:
+            handed.append(_accumulate(cell, vjp(g), cell in interior, handed))
 
 
 def _accumulate(cell: _GradCell, gt, interior: bool, handed: list) -> np.ndarray:

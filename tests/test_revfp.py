@@ -26,7 +26,9 @@ from rcnet.tensor import (
     global_avg_pool,
     maxpool2d,
     mul,
+    scale,
     sigmoid,
+    softmax,
     tsum,
 )
 
@@ -44,7 +46,40 @@ def rand_site(d, seed):
     )
 
 
+def fgu_concat_form(c_fine, c_coarse, site):
+    """The guided upsample with one logit conv over the [N, 2d, H, W] concat."""
+    d, h, w = c_fine.shape[1:]
+    up = bilinear_upsample_x2(c_coarse)
+    logits = conv2d(concat([c_fine, up], 1), site.weight, site.bias, padding=1)
+    scaled = mul(logits, scale(site.temperature, d**-0.5))
+    return mul(up, scale(softmax(scaled, (2, 3)), float(h * w)))
+
+
 class TestFeatureGuidedUpsample:
+    def test_split_logit_conv_matches_concat_form(self):
+        # forward and every grad: the two half-convs sum to the conv of the concat
+        d = 5
+        data = [rand((2, d, 8, 6), 21).data, rand((2, d, 4, 3), 22).data]
+        site = rand_site(d, 23)
+        g = rand((2, d, 8, 6), 24).data
+        results = []
+        for fgu in (feature_guided_upsample, fgu_concat_form):
+            fine, coarse = (Tensor(x, requires_grad=True) for x in data)
+            params = FguSite(
+                *(Tensor(t.data, requires_grad=True) for t in (site.weight, site.bias, site.temperature))
+            )
+            with Tape() as tape:
+                out = fgu(fine, coarse, params)
+                loss = tsum(mul(out, Tensor(g)))
+            backward(tape, loss)
+            results.append(
+                [out.data, fine.grad, coarse.grad]
+                + [t.grad for t in (params.weight, params.bias, params.temperature)]
+            )
+        for got, want in zip(*results):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
     def test_constant_logits_leave_upsample_unchanged(self):
         d = 4
         fine, coarse = rand((1, d, 8, 8), 1), rand((1, d, 4, 4), 2)

@@ -3,6 +3,7 @@
 import threading
 import tracemalloc
 import types
+import weakref
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from rcnet.tensor import (
     Tape,
     TapeError,
     Tensor,
+    _make,
     add,
     add_scalar,
     backward,
@@ -693,24 +695,62 @@ class TestTape:
         with Tape() as tape:
             loss = tsum(x)
         backward(tape, loss)
-        with pytest.raises(TapeError, match="reset"):
+        with pytest.raises(TapeError, match="swept once"):
             backward(tape, loss)
 
-    def test_reset_rearms(self):
-        x = Tensor(rand((2,), seed=24), requires_grad=True)
+    def test_backward_empties_the_tape_and_frees_what_only_a_vjp_held(self):
+        x = Tensor(rand((3, 4), seed=24), requires_grad=True)
+        held = rand((3, 4), seed=58)
         with Tape() as tape:
-            loss = tsum(x)
+            loss = tsum(mul(x, Tensor(held)))  # x's vjp reads `held`
+        ref = weakref.ref(held)
+        del held
+        kept = ref() is not None
+        assert kept and len(tape) == 2
         backward(tape, loss)
-        tape.reset()
-        backward(tape, loss)
-        assert np.array_equal(x.grad, np.ones(2))
+        assert len(tape) == 0
+        assert ref() is None, "an array only a vjp read outlived the sweep"
+        assert np.array_equal(x.grad, rand((3, 4), seed=58))
+
+    def test_a_sweep_that_raised_leaves_the_tape_spent(self):
+        x = Tensor(rand((2, 3), seed=59), requires_grad=True)
+
+        def failing_vjp(g):
+            raise ValueError("vjp failed")
+
+        with Tape() as tape:
+            loss = tsum(_make("failing", x.data * 2.0, [(x, failing_vjp)]))
+        with pytest.raises(ValueError, match="vjp failed"):
+            backward(tape, loss)
+        assert len(tape) == 0
+        with pytest.raises(TapeError, match="swept once"):
+            backward(tape, loss)
+
+    @pytest.mark.parametrize(
+        "value,name,op,match",
+        [
+            # d sqrt(x)/dx = 0.5/sqrt(x) is inf at x = 0
+            ([0.0, 4.0], "x", sqrt, "leaf 'x'"),
+            # d(1/b)/db = -1/b^2 overflows although 1/b = 1e200 is finite
+            ([1e-200], None, lambda b: div(Tensor([1.0]), b), r"a leaf of shape \(1,\)"),
+        ],
+        ids=["sqrt-named", "div-unnamed"],
+    )
+    def test_non_finite_leaf_grad_raises(self, value, name, op, match):
+        leaf = Tensor(value, requires_grad=True, name=name)
+        with Tape() as tape:
+            loss = tsum(op(leaf))
+        with np.errstate(divide="ignore", over="ignore"), pytest.raises(NonFiniteError, match=match):
+            backward(tape, loss)
 
     @staticmethod
-    def _graph():
+    def _graph(leaves=None):
         """A small graph with a shared leaf, a conv, an upsample and a reshape."""
-        x = Tensor(rand((1, 2, 3, 3), seed=40), requires_grad=True)
-        w = Tensor(rand((2, 2, 3, 3), seed=41), requires_grad=True)
-        b = Tensor(rand((2,), seed=42), requires_grad=True)
+        x, w, b = leaves or (
+            Tensor(rand((1, 2, 3, 3), seed=40), requires_grad=True),
+            Tensor(rand((2, 2, 3, 3), seed=41), requires_grad=True),
+            Tensor(rand((2,), seed=42), requires_grad=True),
+        )
         tape = Tape()
         with tape:
             y = conv2d(x, w, b, padding=1)
@@ -720,20 +760,23 @@ class TestTape:
 
     def test_backward_keeps_grads_on_leaves_only(self):
         tape, loss, leaves, interior = self._graph()
+        nodes = list(tape._nodes)  # the sweep takes them off the tape
+        assert len(nodes) == 7
         backward(tape, loss)
         assert all(leaf.grad is not None for leaf in leaves)
-        assert all(out.grad is None for out, _, _ in tape._nodes)
+        assert all(out.grad is None for out, _, _ in nodes)
         assert all(t.grad is None for t in interior)
 
-    def test_reset_then_backward_repeats_bitwise(self):
+    def test_two_tapes_over_one_graph_give_bitwise_equal_grads(self):
         tape, loss, leaves, _ = self._graph()
         backward(tape, loss)
-        first = [leaf.grad.copy() for leaf in leaves]
-        tape.reset()
-        assert all(leaf.grad is None for leaf in leaves)
+        first = [leaf.grad for leaf in leaves]
+        for leaf in leaves:
+            leaf.grad = None
+        tape, loss, _, _ = self._graph(leaves)
         backward(tape, loss)
-        for got, want in zip([leaf.grad for leaf in leaves], first):
-            assert np.array_equal(got, want)
+        for leaf, want in zip(leaves, first):
+            assert np.array_equal(leaf.grad, want)
 
     def test_shared_vjp_result_is_copied_per_input(self):
         # add hands the same array to both inputs; each must get its own grad
@@ -867,6 +910,37 @@ class TestTapeRetention:
         assert len(tape) > 100
         assert _tensors_held(tape._nodes) == []
         del out
+
+    def test_sweep_frees_each_node_after_its_vjps(self):
+        # the first-recorded op is a 3x3 im2col conv, whose weight vjp runs
+        # last and rebuilds its im2col buffer: the sweep's largest temporary.
+        # Every later node holds arrays only it reads. A sweep that keeps its
+        # nodes to the end holds all of them next to that buffer.
+        n, c, h, w = 1, 8, 32, 32
+        x = Tensor(rand((n, c, h, w), seed=94), requires_grad=True)
+        wt = Tensor(rand((c, c, 3, 3), seed=95), requires_grad=True)
+        b = Tensor(np.zeros(c), requires_grad=True)
+        cols_bytes = n * c * 9 * h * w * 8
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with Tape() as tape:
+                y = conv2d(x, wt, b, padding=1)
+                for k in range(8):
+                    y = mul(y, Tensor(rand(y.shape, seed=96 + k)))
+                loss = tsum(y)
+            del y
+            tape_bytes = tracemalloc.get_traced_memory()[0] - before
+            tracemalloc.reset_peak()
+            backward(tape, loss)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert x.grad is not None and wt.grad is not None
+        assert tape_bytes > cols_bytes
+        assert peak < tape_bytes + cols_bytes, (
+            f"sweep peak {peak} bytes; the tape held {tape_bytes} and the im2col is {cols_bytes}"
+        )
 
     def test_shape_only_chain_keeps_no_activations(self):
         x = Tensor(rand((1, 8, 128, 128), seed=83), requires_grad=True)  # 1 MiB

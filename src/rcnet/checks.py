@@ -3,7 +3,8 @@
 Every check is a pure function of the config returning a CheckResult; the
 CLI turns a list of results into a report and an exit code. Tolerances
 are pinned here, not configurable: exactness claims are checked at 0 or
-1e-12, statistics at their stated bounds, gradients at 1e-4.
+1e-12, statistics at their stated bounds, gradients at `gradcheck.TOL`
+(1e-4) with central differences of step `gradcheck.STEP` (1e-5).
 """
 
 from __future__ import annotations
@@ -28,12 +29,13 @@ from .csn import (
 )
 from .fixtures import extend_stem, prepare_inputs, synth_backbone
 from .fpn import fpn_forward, fpn_params
-from .gradcheck import check_gradients
+from .gradcheck import TOL, check_gradients
 from .params import ParamStore
 from .pyramid import FeaturePyramid, load_pyramid, pyramid_digest, save_pyramid
 from .revfp import FguSite, feature_guided_upsample, revfp_forward, revfp_params
 from .rng import SplitMix64, fold_seed
 from .tensor import (
+    NORM_EPS,
     Tensor,
     add,
     add_scalar,
@@ -293,7 +295,7 @@ def check_revfp_locality(cfg: NeckConfig) -> CheckResult:
 def check_shift_routing(cfg: NeckConfig) -> CheckResult:
     """For levels 3..7 the level-6 slice must receive blocks from levels
     4, 5, 7, and 3 (wrapping) at offsets -2, -1, +1, +2."""
-    plan = ShiftPlan(cfg.d, max(cfg.shift_block, 1))
+    plan = ShiftPlan.for_config(cfg)
     levels = list(range(3, 8))
     n = len(levels)
     S = _rand(cfg, "routing/stack", (1, cfg.d, n, 4, 4))
@@ -311,7 +313,7 @@ def check_shift_routing(cfg: NeckConfig) -> CheckResult:
 
 def check_shift_equivariance(cfg: NeckConfig) -> CheckResult:
     """scale_shift commutes with rotations of the scale axis, exactly."""
-    plan = ShiftPlan(cfg.d, max(cfg.shift_block, 1))
+    plan = ShiftPlan.for_config(cfg)
     n = cfg.num_levels
     S = _rand(cfg, "equivariance/stack", (1, cfg.d, n, 3, 3))
     worst = 0.0
@@ -438,14 +440,11 @@ def check_csn_init_roundtrip(cfg: NeckConfig) -> CheckResult:
 def check_norm_standardization(cfg: NeckConfig) -> CheckResult:
     """With unit gain and zero shift the output is standardized per channel
     up to the eps shrinkage of the variance."""
-    eps = 1e-5
     x = _rand(cfg, "norm/x", (2, 4, 6, 5))
-    out = channel_norm(
-        x, Tensor(np.ones(4), requires_grad=False), Tensor(np.zeros(4)), eps
-    ).data
+    out = channel_norm(x, Tensor(np.ones(4), requires_grad=False), Tensor(np.zeros(4))).data
     mean_err = float(np.max(np.abs(out.mean(axis=(0, 2, 3)))))
     var = x.data.var(axis=(0, 2, 3))
-    expect_var = var / (var + eps)
+    expect_var = var / (var + NORM_EPS)
     var_err = float(np.max(np.abs(out.var(axis=(0, 2, 3)) - expect_var)))
     ok = mean_err <= 1e-10 and var_err <= 1e-6
     return CheckResult(
@@ -622,35 +621,27 @@ def _op_cases(seed: int):
     return cases
 
 
-def gradient_op_checks(
-    seed: int = 7, tol: float = 1e-4, step: float = 1e-5, ops: list[str] | None = None
-) -> list[CheckResult]:
-    """Finite-difference check of every primitive op (or those in `ops`) on small tensors.
+def _op_check(seed: int, name: str, fn, leaves: list[Tensor]) -> CheckResult:
+    """Finite-difference check of one op case through a seeded linear loss."""
+    proj = Tensor(SplitMix64(fold_seed(seed, f"proj/{name}")).standard_normal(fn().shape))
 
-    Every case is built either way, so a selected op sees the same data as
-    in the full sweep.
-    """
-    results = []
-    for name, (fn, leaves) in _op_cases(fold_seed(seed, "ops")).items():
-        if ops is not None and name not in ops:
-            continue
-        proj = Tensor(SplitMix64(fold_seed(seed, f"proj/{name}")).standard_normal(fn().shape))
+    def build_loss():
+        return tsum(mul(fn(), proj))
 
-        def build_loss(fn=fn, proj=proj):
-            return tsum(mul(fn(), proj))
+    worst = max(c.max_rel_err for c in check_gradients(build_loss, leaves, max_coords=512))
+    return CheckResult(f"grad/{name}", worst <= TOL, worst, TOL)
 
-        checks = check_gradients(build_loss, leaves, tol=tol, step=step, max_coords=512)
-        worst = max(c.max_rel_err for c in checks)
-        results.append(CheckResult(f"grad/{name}", worst <= tol, worst, tol))
-    return results
+
+def gradient_op_checks(seed: int = 7) -> list[CheckResult]:
+    """Finite-difference check of every primitive op on small tensors."""
+    cases = _op_cases(fold_seed(seed, "ops"))
+    return [_op_check(seed, name, fn, leaves) for name, (fn, leaves) in cases.items()]
 
 
 END_TO_END = "grad/end_to_end"
 
 
-def gradient_end_to_end_check(
-    seed: int = 7, tol: float = 1e-4, step: float = 1e-5, max_coords: int = 4
-) -> CheckResult:
+def gradient_end_to_end_check(seed: int = 7) -> CheckResult:
     """FD check of dLoss/dParam through the full fused-neck graph.
 
     The check runs at a generic parameter point: the zero-initialized
@@ -682,26 +673,27 @@ def gradient_end_to_end_check(
         return total
 
     leaves = rp.tensors() + cp.tensors()
-    checks = check_gradients(
-        build_loss, leaves, tol=tol, step=step, max_coords=max_coords, seed=seed
-    )
+    checks = check_gradients(build_loss, leaves, max_coords=4, seed=seed)
     worst = max(c.max_rel_err for c in checks)
     worst_name = max(checks, key=lambda c: c.max_rel_err).name
-    return CheckResult(
-        END_TO_END, worst <= tol, f"{worst:.3e} (worst at {worst_name})", tol
-    )
+    return CheckResult(END_TO_END, worst <= TOL, f"{worst:.3e} (worst at {worst_name})", TOL)
 
 
 def run_gradient_suite(seed: int = 7, names: list[str] | None = None) -> list[CheckResult]:
     """The op sweep and the end-to-end check, or only the checks in `names`.
 
     The selection is resolved before anything runs: a named op runs alone,
-    and the end-to-end check runs only when it is named.
+    and the end-to-end check runs only when it is named. Every op case is
+    built either way, so a selected op sees the same data as in the full
+    sweep.
     """
-    available = [f"grad/{op}" for op in _op_cases(seed)] + [END_TO_END]
-    selected = select_checks(names, available)
-    ops = [n.removeprefix("grad/") for n in selected if n != END_TO_END]
-    results = gradient_op_checks(seed, ops=ops) if ops else []
+    cases = _op_cases(fold_seed(seed, "ops"))
+    selected = select_checks(names, [f"grad/{op}" for op in cases] + [END_TO_END])
+    results = [
+        _op_check(seed, name, fn, leaves)
+        for name, (fn, leaves) in cases.items()
+        if f"grad/{name}" in selected
+    ]
     if END_TO_END in selected:
         results.append(gradient_end_to_end_check(seed))
     return results

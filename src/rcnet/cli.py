@@ -3,9 +3,11 @@
 Every subcommand reads a JSON config (defaulting to the built-in desk
 config), runs, and emits a single JSON report. The exit code is 0 exactly
 when every enabled check in the report passed and 1 when one failed. It
-is 2 for a usage error: argparse rejects a bad flag or value with a usage
-message, and an unknown or empty `--checks` selection writes a report
-with no checks and an `error` field before any check runs.
+is 2 for a usage error. A bad flag or value, a config file that cannot
+be read or holds no valid config, and a seed outside the unsigned 64-bit
+range end with a usage message and no report. An unknown or empty
+`--checks` selection writes a report with no checks and an `error` field
+before any check runs.
 """
 
 from __future__ import annotations
@@ -34,6 +36,14 @@ from .revfp import revfp_forward, revfp_params
 
 SCHEMA = "rcnet-report/1"
 
+#: model -> (param makers, forward over the stemmed pyramid and their
+#: stores); the stem is extended with the first store
+MODELS = {
+    "fpn": ([fpn_params], lambda C, stores, cfg: fpn_forward(C, stores[0], cfg)),
+    "revfp": ([revfp_params], lambda C, stores, cfg: revfp_forward(C, stores[0], cfg)),
+    "rcnet": ([revfp_params, csn_params], lambda C, stores, cfg: rcnet_forward(C, cfg, *stores)),
+}
+
 
 def repetitions(text: str) -> int:
     n = int(text)
@@ -49,7 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def command(name, help_text, selects=True):
+        sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", metavar="PATH", help="JSON config (default: built-in desk config)")
         sp.add_argument("--out", metavar="PATH", help="report destination (default: stdout)")
         sp.add_argument("--seed", type=int, metavar="U64", help="override the config seed")
@@ -57,28 +68,25 @@ def build_parser() -> argparse.ArgumentParser:
             "--paper-width", action="store_true",
             help="restore full channel widths (d=256, undivided backbone stages)",
         )
-        sp.add_argument("--checks", metavar="LIST", help="comma-separated subset of checks")
-        sp.add_argument(
-            "--reps", type=repetitions, default=MIN_REPS, metavar="N",
-            help=f"benchmark repetitions (at least {MIN_REPS})",
-        )
+        if selects:
+            sp.add_argument("--checks", metavar="LIST", help="comma-separated subset of checks")
+        return sp
 
-    gen = sub.add_parser("gen-fixtures", help="write a synthetic backbone pyramid as FPZ1")
+    gen = command("gen-fixtures", "write a synthetic backbone pyramid as FPZ1", selects=False)
     gen.add_argument("--fixtures", metavar="PATH", default="fixtures.fpz", help="FPZ1 destination")
-    common(gen)
 
-    fwd = sub.add_parser("forward", help="run one neck forward and report digests")
-    fwd.add_argument("model", choices=["fpn", "revfp", "rcnet"])
+    fwd = command("forward", "run one neck forward and report digests", selects=False)
+    fwd.add_argument("model", choices=list(MODELS))
     fwd.add_argument("--fixtures", metavar="PATH", help="load backbone from FPZ1 instead of generating")
-    common(fwd)
 
-    for name, help_text in [
-        ("grad-check", "finite-difference suite over all ops and the full graph"),
-        ("invariants", "structural invariant checks"),
-        ("count", "parameter and MAC accounting for fpn, revfp, and csn"),
-        ("bench-shift", "time the scale shift against the dense circulant conv"),
-    ]:
-        common(sub.add_parser(name, help=help_text))
+    command("grad-check", "finite-difference suite over all ops and the full graph")
+    command("invariants", "structural invariant checks")
+    command("count", "parameter and MAC accounting for fpn, revfp, and csn")
+    bench = command("bench-shift", "time the scale shift against the dense circulant conv")
+    bench.add_argument(
+        "--reps", type=repetitions, default=MIN_REPS, metavar="N",
+        help=f"benchmark repetitions (at least {MIN_REPS})",
+    )
     return parser
 
 
@@ -97,135 +105,63 @@ def _selected(args) -> list[str] | None:
     return [s.strip() for s in args.checks.split(",") if s.strip()]
 
 
-def _emit(report: dict, args) -> None:
-    text = json.dumps(report, indent=2)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-
-
-def _report(command: str, cfg: NeckConfig, checks: list[CheckResult], **extra) -> dict:
-    doc = {
-        "schema": SCHEMA,
-        "command": command,
-        "config": cfg.to_dict(),
-        "checks": {c.name: c.to_dict() for c in checks},
-    }
-    doc.update(extra)
-    return doc
-
-
-def _exit_code(report: dict) -> int:
-    return 0 if all(c["pass"] for c in report["checks"].values()) else 1
-
-
-def cmd_gen_fixtures(args) -> int:
-    cfg = _load_cfg(args)
-    t0 = time.perf_counter_ns()
+def cmd_gen_fixtures(args, cfg: NeckConfig):
     pyr = synth_backbone(cfg)
     save_pyramid(args.fixtures, pyr, seed=cfg.seed, config=cfg.to_dict())
-    back = load_pyramid(args.fixtures)
-    elapsed = time.perf_counter_ns() - t0
-    check = CheckResult(
-        "fixtures_roundtrip", pyr.equal_bitwise(back), "bitwise equal", "bitwise"
-    )
-    report = _report(
-        "gen-fixtures", cfg, [check],
-        digests={"backbone": pyramid_digest(pyr)},
-        fixtures_path=args.fixtures,
-        timings_ns={"total": elapsed},
-    )
-    _emit(report, args)
-    return _exit_code(report)
+    ok = pyr.equal_bitwise(load_pyramid(args.fixtures))
+    check = CheckResult("fixtures_roundtrip", ok, "bitwise equal" if ok else "mismatch", "bitwise")
+    return [check], {"digests": {"backbone": pyramid_digest(pyr)}, "fixtures_path": args.fixtures}
 
 
-def cmd_forward(args) -> int:
+def cmd_forward(args, cfg: NeckConfig):
     """One neck forward; `inputs` times the backbone and the stem, `init` the params."""
-    cfg = _load_cfg(args)
+    makers, forward = MODELS[args.model]
     t0 = time.perf_counter_ns()
     C = load_pyramid(args.fixtures) if args.fixtures else synth_backbone(cfg)
     t1 = time.perf_counter_ns()
-    if args.model == "fpn":
-        stores = [fpn_params(cfg)]
-    elif args.model == "revfp":
-        stores = [revfp_params(cfg)]
-    else:
-        stores = [revfp_params(cfg), csn_params(cfg)]
+    stores = [make(cfg) for make in makers]
     t2 = time.perf_counter_ns()
     full = extend_stem(C, stores[0], cfg) if cfg.has_stem else C
     t3 = time.perf_counter_ns()
-    if args.model == "fpn":
-        out = fpn_forward(full, stores[0], cfg)
-    elif args.model == "revfp":
-        out = revfp_forward(full, stores[0], cfg)
-    else:
-        out = rcnet_forward(full, cfg, *stores)
+    out = forward(full, stores, cfg)
     t4 = time.perf_counter_ns()
-    report = _report(
-        "forward", cfg, [],
-        model=args.model,
-        digests={"input": pyramid_digest(C), "output": pyramid_digest(out)},
-        timings_ns={"init": t2 - t1, "inputs": (t1 - t0) + (t3 - t2), "forward": t4 - t3},
-    )
-    _emit(report, args)
-    return _exit_code(report)
+    return [], {
+        "model": args.model,
+        "digests": {"input": pyramid_digest(C), "output": pyramid_digest(out)},
+        "timings_ns": {"init": t2 - t1, "inputs": (t1 - t0) + (t3 - t2), "forward": t4 - t3},
+    }
 
 
-def cmd_grad_check(args) -> int:
-    cfg = _load_cfg(args)
-    t0 = time.perf_counter_ns()
-    checks = run_gradient_suite(cfg.seed, _selected(args))
-    report = _report(
-        "grad-check", cfg, checks, timings_ns={"total": time.perf_counter_ns() - t0}
-    )
-    _emit(report, args)
-    return _exit_code(report)
+def cmd_grad_check(args, cfg: NeckConfig):
+    return run_gradient_suite(cfg.seed, _selected(args)), {}
 
 
-def cmd_invariants(args) -> int:
-    cfg = _load_cfg(args)
-    t0 = time.perf_counter_ns()
-    checks = run_invariants(cfg, _selected(args))
-    report = _report(
-        "invariants", cfg, checks, timings_ns={"total": time.perf_counter_ns() - t0}
-    )
-    _emit(report, args)
-    return _exit_code(report)
+def cmd_invariants(args, cfg: NeckConfig):
+    return run_invariants(cfg, _selected(args)), {}
 
 
-def cmd_count(args) -> int:
-    cfg = _load_cfg(args)
+def cmd_count(args, cfg: NeckConfig):
     names = select_checks(_selected(args), ["count_totals_consistent", "shift_zero_cost"])
-    t0 = time.perf_counter_ns()
     counts = count_all(cfg)
-    report = _report(
-        "count", cfg, [c for name, c in count_checks(counts).items() if name in names],
-        counts=counts.to_dict(),
-        timings_ns={"total": time.perf_counter_ns() - t0},
-    )
-    _emit(report, args)
-    return _exit_code(report)
+    checks = [c for name, c in count_checks(counts).items() if name in names]
+    return checks, {"counts": counts.to_dict()}
 
 
-def cmd_bench_shift(args) -> int:
-    cfg = _load_cfg(args)
+def cmd_bench_shift(args, cfg: NeckConfig):
     names = select_checks(_selected(args), ["shift_dense_equal", "shift_cheaper"])
     result = bench_shift(cfg, reps=args.reps)
     checks = [
         CheckResult("shift_dense_equal", result.max_abs_diff <= 1e-12, result.max_abs_diff, 1e-12),
         CheckResult("shift_cheaper", result.ratio > 1.0, result.ratio, "> 1"),
     ]
-    report = _report(
-        "bench-shift", cfg, [c for c in checks if c.name in names],
-        bench=result.to_dict(),
-        timings_ns={"shift_median": result.shift_ns, "dense_median": result.dense_ns},
-    )
-    _emit(report, args)
-    return _exit_code(report)
+    return [c for c in checks if c.name in names], {
+        "bench": result.to_dict(),
+        "timings_ns": {"shift_median": result.shift_ns, "dense_median": result.dense_ns},
+    }
 
 
+#: each command returns (checks, extras): the report's checks and the keys
+#: that follow them, in order
 COMMANDS = {
     "gen-fixtures": cmd_gen_fixtures,
     "forward": cmd_forward,
@@ -237,13 +173,35 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one subcommand and write its `rcnet-report/1` document; return the exit code."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
+        cfg = _load_cfg(args)
+    except (OSError, ValueError) as err:
+        parser.error(str(err))
+    t0 = time.perf_counter_ns()
+    try:
+        checks, extras = COMMANDS[args.command](args, cfg)
     except SelectionError as err:
-        report = _report(args.command, _load_cfg(args), [], error=str(err))
-        _emit(report, args)
-        return 2
+        checks, extras, code = [], {"error": str(err)}, 2
+    else:
+        extras.setdefault("timings_ns", {"total": time.perf_counter_ns() - t0})
+        code = 0 if all(c.passed for c in checks) else 1
+    report = {
+        "schema": SCHEMA,
+        "command": args.command,
+        "config": cfg.to_dict(),
+        "checks": {c.name: c.to_dict() for c in checks},
+        **extras,
+    }
+    text = json.dumps(report, indent=2)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    else:
+        print(text)
+    return code
 
 
 def entry():  # console-script hook

@@ -355,16 +355,11 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-def _tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 # ---------------------------------------------------------------------------
 # elementwise and broadcasting ops
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _tensor(a), _tensor(b)
     sa, sb = a.shape, b.shape
     return _make(
         "add",
@@ -374,7 +369,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _tensor(a), _tensor(b)
     sa, sb = a.shape, b.shape
     return _make(
         "sub",
@@ -384,7 +378,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _tensor(a), _tensor(b)
     ad, bd = a.data, b.data
     return _make(
         "mul",
@@ -397,7 +390,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _tensor(a), _tensor(b)
     ad, bd = a.data, b.data
     with np.errstate(divide="ignore", invalid="ignore"):
         out = ad / bd
@@ -477,7 +469,7 @@ def tmean(a: Tensor, axes: tuple[int, ...] | None = None, keepdims: bool = False
 
 
 def concat(tensors: Iterable[Tensor], axis: int) -> Tensor:
-    ts = [_tensor(t) for t in tensors]
+    ts = list(tensors)
     ref = ts[0].shape
     for t in ts[1:]:
         for ax, (da, db) in enumerate(zip(ref, t.shape)):
@@ -832,7 +824,11 @@ def softmax(x: Tensor, axes: tuple[int, ...]) -> Tensor:
     return div(e, tsum(e, axes, keepdims=True))
 
 
-def channel_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+#: variance floor of `channel_norm`
+NORM_EPS = 1e-5
+
+
+def channel_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Per-channel standardization over (batch, spatial), then gamma*x + beta.
 
     Batch-statistics (training-mode) semantics only; gradients flow through
@@ -840,8 +836,6 @@ def channel_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> T
     """
     if x.ndim != 4:
         raise ValueError(f"channel_norm: input must be 4-D [N,C,H,W], got {x.shape}")
-    if eps <= 0:
-        raise ValueError("channel_norm: eps must be positive")
     N, C, H, W = x.shape
     if gamma.shape != (C,) or beta.shape != (C,):
         raise ValueError(
@@ -857,7 +851,7 @@ def channel_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> T
     mu = x.data.sum(axis=axes, keepdims=True) * inv
     d = x.data - mu
     var = (d * d).sum(axis=axes, keepdims=True) * inv
-    den = np.sqrt(var + eps)
+    den = np.sqrt(var + NORM_EPS)
     xh = d / den
     del d
     g4 = gamma.data.reshape(1, C, 1, 1)

@@ -9,7 +9,7 @@ from rcnet import checks as checks_mod
 from rcnet.checks import CheckResult
 from rcnet.cli import main
 from rcnet.counting import CountReport
-from rcnet.pyramid import load_pyramid
+from rcnet.pyramid import FeaturePyramid, load_pyramid
 
 
 @pytest.fixture
@@ -53,11 +53,25 @@ def test_unknown_check_rejected(mini_cfg_file, tmp_path):
     assert "unknown checks" in report["error"]
 
 
-def test_unknown_flag_exits_with_usage(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["invariants", "--bogus"])
-    assert err.value.code == 2
-    assert "usage" in capsys.readouterr().err
+def test_unknown_flag_exits_with_usage(mini_cfg, tmp_path, capsys):
+    # a flag the subcommand does not read, and a bad config or seed, are
+    # usage errors too: exit 2 with a usage message, never a traceback
+    bad = tmp_path / "d63.json"
+    bad.write_text(json.dumps({**mini_cfg.to_dict(), "d": 63}))
+    for argv in [
+        ["invariants", "--bogus"],
+        ["invariants", "--reps", "10"],
+        ["count", "--reps", "10"],
+        ["forward", "rcnet", "--checks", "x"],
+        ["gen-fixtures", "--checks", "x"],
+        ["invariants", "--config", str(tmp_path / "missing.json")],
+        ["invariants", "--config", str(bad)],
+        ["invariants", "--seed", "-1"],
+    ]:
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2, argv
+        assert "usage" in capsys.readouterr().err, argv
 
 
 def test_failed_check_still_writes_report(mini_cfg_file, tmp_path, monkeypatch):
@@ -109,6 +123,14 @@ def test_gen_fixtures_writes_loadable_container(mini_cfg_file, tmp_path, capsys)
     assert report["checks"]["fixtures_roundtrip"]["pass"]
     pyr = load_pyramid(str(fpz))
     assert pyr.levels == [3, 4, 5]
+
+
+def test_gen_fixtures_reports_a_failed_roundtrip(mini_cfg_file, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(FeaturePyramid, "equal_bitwise", lambda self, other: False)
+    code = main(["gen-fixtures", "--config", mini_cfg_file, "--fixtures", str(tmp_path / "b.fpz")])
+    assert code == 1
+    check = json.loads(capsys.readouterr().out)["checks"]["fixtures_roundtrip"]
+    assert check == {"pass": False, "measured": "mismatch", "tolerance": "bitwise"}
 
 
 def test_forward_accepts_saved_fixtures(mini_cfg_file, tmp_path, capsys):

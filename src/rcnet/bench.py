@@ -15,7 +15,7 @@ from statistics import median
 import numpy as np
 
 from .config import SHIFT_OFFSETS, NeckConfig
-from .csn import ShiftPlan, scale_shift
+from .csn import scale_shift
 from .rng import SplitMix64, fold_seed
 from .tensor import Tensor, add, roll, scale
 
@@ -61,18 +61,17 @@ def scalar_kernel(d: int, weights) -> np.ndarray:
     return k
 
 
-def routing_kernel(plan: ShiftPlan) -> np.ndarray:
-    """One-hot kernel that makes the dense conv reproduce `scale_shift`.
+def routing_kernel(d: int, block: int) -> np.ndarray:
+    """One-hot kernel that makes the dense conv reproduce `scale_shift(S, block)`.
 
     Output rows 0..d-1 are the identity at tap 0; row d + b*block + c reads
     source channel b*block + c at the tap of offset SHIFT_OFFSETS[b].
     """
-    d, blk = plan.d, plan.block
-    k = np.zeros((d + plan.shifted_channels, d, 5), dtype=np.float64)
+    k = np.zeros((d + 4 * block, d, 5), dtype=np.float64)
     k[:d, :, TAP_OFFSETS.index(0)] = np.eye(d)
     for b, off in enumerate(SHIFT_OFFSETS):
-        for c in range(blk):
-            k[d + b * blk + c, b * blk + c, TAP_OFFSETS.index(off)] = 1.0
+        for c in range(block):
+            k[d + b * block + c, b * block + c, TAP_OFFSETS.index(off)] = 1.0
     return k
 
 
@@ -113,17 +112,17 @@ def bench_shift(cfg: NeckConfig, reps: int = MIN_REPS) -> BenchResult:
     """Time `scale_shift` against the dense conv that routes identically."""
     if reps < MIN_REPS:
         raise ValueError(f"bench_shift: need at least {MIN_REPS} repetitions, got {reps}")
-    plan = ShiftPlan.for_config(cfg)
+    block = cfg.shift_block
     hk, wk = cfg.resolution(cfg.k)
     shape = (cfg.batch, cfg.d, cfg.num_levels, hk, wk)
     stream = SplitMix64(fold_seed(cfg.seed, "bench/stack"))
     S = Tensor(stream.standard_normal(shape))
-    kernel = routing_kernel(plan)
+    kernel = routing_kernel(cfg.d, block)
 
-    shifted = scale_shift(S, plan)
+    shifted = scale_shift(S, block)
     dense = dense_circulant_conv(S.data, kernel)
     diff = float(np.max(np.abs(shifted.data - dense)))
 
-    shift_ns = _median_ns(lambda: scale_shift(S, plan), reps)
+    shift_ns = _median_ns(lambda: scale_shift(S, block), reps)
     dense_ns = _median_ns(lambda: dense_circulant_conv(S.data, kernel), reps)
     return BenchResult(shift_ns, dense_ns, diff, reps)

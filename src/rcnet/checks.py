@@ -19,7 +19,6 @@ from . import counting
 from .bench import dense_circulant_conv, scalar_kernel, shift_weighted_sum
 from .config import NeckConfig
 from .csn import (
-    ShiftPlan,
     csn_forward,
     csn_params,
     dual_global_context,
@@ -95,14 +94,30 @@ def _rand(cfg: NeckConfig, label: str, shape) -> Tensor:
     return Tensor(_stream(cfg, label).standard_normal(tuple(shape)))
 
 
-def _bump(pyr: FeaturePyramid, level: int) -> FeaturePyramid:
-    data = pyr[level].data.copy()
-    data[(0,) * data.ndim] += 1.0
-    return pyr.with_level(level, Tensor(data))
+def _rand_pyramid(cfg: NeckConfig, label_format: str) -> FeaturePyramid:
+    """Standard-normal [batch, d] maps at every level, level i drawn from
+    the stream labelled `label_format.format(i=i)`."""
+    return FeaturePyramid(
+        {
+            i: _rand(cfg, label_format.format(i=i), (cfg.batch, cfg.d) + cfg.resolution(i))
+            for i in cfg.levels()
+        }
+    )
 
 
-def _max_diff(a: FeaturePyramid, b: FeaturePyramid, level: int) -> float:
-    return float(np.max(np.abs(a[level].data - b[level].data)))
+def _reach(forward, inputs: FeaturePyramid, bumped, at=(0, 0, 0, 0)) -> dict:
+    """{(j, i): max |change| of output level i} when input level j is bumped
+    by 1 at index `at`, for each j in `bumped`: one base forward plus one
+    forward per bumped level."""
+    base = forward(inputs)
+    reach = {}
+    for j in bumped:
+        data = inputs[j].data.copy()
+        data[at] += 1.0
+        moved = forward(inputs.with_level(j, Tensor(data)))
+        for i in base.levels:
+            reach[j, i] = float(np.max(np.abs(base[i].data - moved[i].data)))
+    return reach
 
 
 def tiny_gradcheck_config(seed: int = 7) -> NeckConfig:
@@ -195,18 +210,9 @@ def check_fpn_unidirectional(cfg: NeckConfig) -> CheckResult:
     """Perturbing a low stage never reaches a higher output (bitwise), while
     perturbing a high stage reaches every lower output."""
     store = fpn_params(cfg)
-    C = prepare_inputs(cfg, store)
-    base = fpn_forward(C, store, cfg)
-    leak = 0.0
-    min_reach = float("inf")
-    for j in cfg.levels():
-        perturbed = fpn_forward(_bump(C, j), store, cfg)
-        for i in cfg.levels():
-            diff = _max_diff(base, perturbed, i)
-            if i > j:
-                leak = max(leak, diff)
-            elif i < j:
-                min_reach = min(min_reach, diff)
+    reach = _reach(lambda C: fpn_forward(C, store, cfg), prepare_inputs(cfg, store), cfg.levels())
+    leak = max([0.0] + [diff for (j, i), diff in reach.items() if i > j])
+    min_reach = min([float("inf")] + [diff for (j, i), diff in reach.items() if i < j])
     ok = leak == 0.0 and min_reach > 0.0
     return CheckResult(
         "fpn_unidirectional", ok, f"upward_leak={leak} min_downward={min_reach:.3e}", "leak == 0"
@@ -218,14 +224,9 @@ def check_revfp_bidirectional(cfg: NeckConfig) -> CheckResult:
     through the bottom-up chain, and every stage reaches the output one
     level below it through its local top-down connection."""
     store = revfp_params(cfg)
-    C = prepare_inputs(cfg, store)
-    base = revfp_forward(C, store, cfg)
-    up = _max_diff(base, revfp_forward(_bump(C, cfg.l_min), store, cfg), cfg.l_max)
-    min_down = float("inf")
-    for j in range(cfg.l_min + 1, cfg.l_max + 1):
-        min_down = min(
-            min_down, _max_diff(base, revfp_forward(_bump(C, j), store, cfg), j - 1)
-        )
+    reach = _reach(lambda C: revfp_forward(C, store, cfg), prepare_inputs(cfg, store), cfg.levels())
+    up = reach[cfg.l_min, cfg.l_max]
+    min_down = min(reach[j, j - 1] for j in range(cfg.l_min + 1, cfg.l_max + 1))
     ok = up > 0.0 and min_down > 0.0
     return CheckResult(
         "revfp_bidirectional",
@@ -250,16 +251,13 @@ def check_csn_nonadjacent_reach(cfg: NeckConfig) -> CheckResult:
         context__scale__out__weight=_stream(cfg, "reach/sout").standard_normal((d, d, 1, 1)),
         context__spatial__out__weight=_stream(cfg, "reach/pout").standard_normal((d, d, 1, 1)),
     )
-    tensors = {
-        i: _rand(cfg, f"reach/P{i}", (cfg.batch, cfg.d) + cfg.resolution(i))
-        for i in cfg.levels()
-    }
-    P = FeaturePyramid(tensors)
-    top = P[cfg.l_max].data.copy()
-    top[0, cfg.shift_block, 0, 0] += 1.0
-    base = csn_forward(P, cfg, store)
-    moved = csn_forward(P.with_level(cfg.l_max, Tensor(top)), cfg, store)
-    diff = _max_diff(base, moved, cfg.l_min)
+    reach = _reach(
+        lambda P: csn_forward(P, cfg, store),
+        _rand_pyramid(cfg, "reach/P{i}"),
+        [cfg.l_max],
+        at=(0, cfg.shift_block, 0, 0),
+    )
+    diff = reach[cfg.l_max, cfg.l_min]
     return CheckResult("csn_nonadjacent_reach", diff > 0.0, diff, "> 0")
 
 
@@ -274,20 +272,17 @@ def check_revfp_locality(cfg: NeckConfig) -> CheckResult:
     """With post-fusion gates forced to exactly 1 the bottom-up chain is cut,
     so a perturbed stage j may only influence outputs j-1 and j."""
     store = _severed_store(revfp_params(cfg), cfg)
-    C = prepare_inputs(cfg, store)
-    base = revfp_forward(C, store, cfg)
-    ok = True
-    detail = []
-    for j in cfg.stage_levels():  # stem levels derive from C5; bump stages only
-        perturbed = revfp_forward(_bump(C, j), store, cfg)
-        for i in cfg.levels():
-            diff = _max_diff(base, perturbed, i)
-            expect = i in (j - 1, j)
-            if expect != (diff > 0.0):
-                ok = False
-                detail.append(f"C{j}->P{i}: diff={diff:.3e} expected_change={expect}")
+    # stem levels derive from C5; bump stages only
+    reach = _reach(
+        lambda C: revfp_forward(C, store, cfg), prepare_inputs(cfg, store), cfg.stage_levels()
+    )
+    detail = [
+        f"C{j}->P{i}: diff={diff:.3e} expected_change={i in (j - 1, j)}"
+        for (j, i), diff in reach.items()
+        if (i in (j - 1, j)) != (diff > 0.0)
+    ]
     return CheckResult(
-        "revfp_locality", ok, "; ".join(detail) if detail else "reach is {j-1, j} for all j",
+        "revfp_locality", not detail, "; ".join(detail) or "reach is {j-1, j} for all j",
         "exact reach set",
     )
 
@@ -295,31 +290,30 @@ def check_revfp_locality(cfg: NeckConfig) -> CheckResult:
 def check_shift_routing(cfg: NeckConfig) -> CheckResult:
     """For levels 3..7 the level-6 slice must receive blocks from levels
     4, 5, 7, and 3 (wrapping) at offsets -2, -1, +1, +2."""
-    plan = ShiftPlan.for_config(cfg)
+    blk = cfg.shift_block
     levels = list(range(3, 8))
     n = len(levels)
     S = _rand(cfg, "routing/stack", (1, cfg.d, n, 4, 4))
-    shifted = scale_shift(S, plan)
+    shifted = scale_shift(S, blk)
     s_out = levels.index(6)
     expected_sources = {-2: 4, -1: 5, 1: 7, 2: 3}
     worst = 0.0
     for b, off in enumerate((-2, -1, 1, 2)):
         src_scale = levels.index(expected_sources[off])
-        got = shifted.data[:, cfg.d + b * plan.block : cfg.d + (b + 1) * plan.block, s_out]
-        want = S.data[:, b * plan.block : (b + 1) * plan.block, src_scale]
+        got = shifted.data[:, cfg.d + b * blk : cfg.d + (b + 1) * blk, s_out]
+        want = S.data[:, b * blk : (b + 1) * blk, src_scale]
         worst = max(worst, float(np.max(np.abs(got - want))))
     return CheckResult("shift_routing", worst == 0.0, worst, 0.0)
 
 
 def check_shift_equivariance(cfg: NeckConfig) -> CheckResult:
     """scale_shift commutes with rotations of the scale axis, exactly."""
-    plan = ShiftPlan.for_config(cfg)
     n = cfg.num_levels
     S = _rand(cfg, "equivariance/stack", (1, cfg.d, n, 3, 3))
     worst = 0.0
     for t in range(n):
-        a = scale_shift(roll(S, t, 2), plan).data
-        b = np.roll(scale_shift(S, plan).data, t, axis=2)
+        a = scale_shift(roll(S, t, 2), cfg.shift_block).data
+        b = np.roll(scale_shift(S, cfg.shift_block).data, t, axis=2)
         worst = max(worst, float(np.max(np.abs(a - b))))
     return CheckResult("shift_equivariance", worst == 0.0, worst, 0.0)
 
@@ -349,10 +343,7 @@ def check_shift_zero_cost(cfg: NeckConfig) -> CheckResult:
     Only the csn forward is counted, on a random pyramid at the config's
     shapes: its rows are those of `count_all`'s csn module.
     """
-    shape = (cfg.batch, cfg.d)
-    P = FeaturePyramid(
-        {i: _rand(cfg, f"shift_cost/{i}", shape + cfg.resolution(i)) for i in cfg.levels()}
-    )
+    P = _rand_pyramid(cfg, "shift_cost/{i}")
     report = counting.CountReport()
     with counting.collect(report, "csn"):
         csn_forward(P, cfg, csn_params(cfg))
@@ -373,10 +364,9 @@ def check_shift_sum_dense_equal(cfg: NeckConfig) -> CheckResult:
 def check_aggregate_identity_init(cfg: NeckConfig) -> CheckResult:
     """Zero-initialized projection makes shift aggregation an exact identity."""
     store = csn_params(cfg)
-    plan = ShiftPlan.for_config(cfg)
     hk, wk = cfg.resolution(cfg.k)
     S = _rand(cfg, "agg_init/stack", (cfg.batch, cfg.d, cfg.num_levels, hk, wk))
-    out = shift_aggregate(scale_shift(S, plan), store, cfg.d)
+    out = shift_aggregate(scale_shift(S, cfg.shift_block), store, cfg.d)
     ok = np.array_equal(out.data, S.data)
     return CheckResult("aggregate_identity_init", ok, float(np.max(np.abs(out.data - S.data))), 0.0)
 
@@ -422,11 +412,7 @@ def check_csn_init_roundtrip(cfg: NeckConfig) -> CheckResult:
     """At init the whole cross-scale module reduces to adding the
     resize-roundtrip of each level back onto itself."""
     store = csn_params(cfg)
-    tensors = {}
-    for i in cfg.levels():
-        h, w = cfg.resolution(i)
-        tensors[i] = _rand(cfg, f"roundtrip/P{i}", (cfg.batch, cfg.d, h, w))
-    P = FeaturePyramid(tensors)
+    P = _rand_pyramid(cfg, "roundtrip/P{i}")
     out = csn_forward(P, cfg, store)
     worst = 0.0
     for i in cfg.levels():
@@ -664,7 +650,7 @@ def gradient_end_to_end_check(seed: int = 7) -> CheckResult:
     }
 
     def build_loss():
-        C = extend_stem(base, rp, cfg) if cfg.has_stem else base
+        C = extend_stem(base, rp, cfg)
         out = rcnet_forward(C, cfg, rp, cp)
         total = None
         for i in cfg.levels():

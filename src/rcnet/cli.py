@@ -4,10 +4,12 @@ Every subcommand reads a JSON config (defaulting to the built-in desk
 config), runs, and emits a single JSON report. The exit code is 0 exactly
 when every enabled check in the report passed and 1 when one failed. It
 is 2 for a usage error. A bad flag or value, a config file that cannot
-be read or holds no valid config, and a seed outside the unsigned 64-bit
-range end with a usage message and no report. An unknown or empty
-`--checks` selection writes a report with no checks and an `error` field
-before any check runs.
+be read or holds no valid config, a `--fixtures` path that cannot be
+opened, and a seed outside the unsigned 64-bit range end with a usage
+message and no report. A `--fixtures` file that opens but holds no valid
+FPZ1 container raises the loader's `ContainerError` or `PyramidError`.
+An unknown or empty `--checks` selection writes a report with no checks
+and an `error` field before any check runs.
 """
 
 from __future__ import annotations
@@ -121,7 +123,7 @@ def cmd_forward(args, cfg: NeckConfig):
     t1 = time.perf_counter_ns()
     stores = [make(cfg) for make in makers]
     t2 = time.perf_counter_ns()
-    full = extend_stem(C, stores[0], cfg) if cfg.has_stem else C
+    full = extend_stem(C, stores[0], cfg)
     t3 = time.perf_counter_ns()
     out = forward(full, stores, cfg)
     t4 = time.perf_counter_ns()
@@ -185,6 +187,10 @@ def main(argv=None) -> int:
         checks, extras = COMMANDS[args.command](args, cfg)
     except SelectionError as err:
         checks, extras, code = [], {"error": str(err)}, 2
+    except OSError as err:
+        if err.filename is None or err.filename != getattr(args, "fixtures", None):
+            raise
+        parser.error(f"--fixtures: cannot open {err.filename}: {err.strerror}")
     else:
         extras.setdefault("timings_ns", {"total": time.perf_counter_ns() - t0})
         code = 0 if all(c.passed for c in checks) else 1

@@ -8,11 +8,12 @@ neighbours and non-neighbours at zero arithmetic cost. Two 1x1 convs
 aggregate the widened stack back to width d with a residual from the
 original stack, a dual (scale + spatial) attention adds pooled global
 context, and the result is resized back and added to the input pyramid.
+
+The shift block is `cfg.shift_block`, d / (4r) channels; `NeckConfig`
+checks that 4r divides d. The stack's own shape gives everything else.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from . import counting
 from .config import SHIFT_OFFSETS, NeckConfig
@@ -37,42 +38,13 @@ from .tensor import (
     scale,
     softmax,
     tmean,
-    transpose,
 )
-
-
-@dataclass(frozen=True)
-class ShiftPlan:
-    """Channel partition for the scale shift.
-
-    Offset number b (of the four in SHIFT_OFFSETS) moves channels
-    [b*block, (b+1)*block); the remaining d - 4*block channels stay put.
-    block = 0 is the degenerate no-shift plan used by tests.
-    """
-
-    d: int
-    block: int
-
-    def __post_init__(self):
-        if self.block < 0 or 4 * self.block > self.d:
-            raise ValueError(f"shift plan: 4*block={4 * self.block} exceeds d={self.d}")
-
-    @classmethod
-    def for_config(cls, cfg: NeckConfig) -> "ShiftPlan":
-        if cfg.d % (4 * cfg.r):
-            raise ValueError(f"shift plan: d={cfg.d} not divisible by 4*r={4 * cfg.r}")
-        return cls(cfg.d, cfg.shift_block)
-
-    @property
-    def shifted_channels(self) -> int:
-        return 4 * self.block
 
 
 def csn_params(cfg: NeckConfig) -> ParamStore:
     store = ParamStore(fold_seed(cfg.seed, "csn"))
     d = cfg.d
-    extra = ShiftPlan.for_config(cfg).shifted_channels
-    store.conv("aggregate/reduce", d, d + extra, 1, 1)
+    store.conv("aggregate/reduce", d, d + 4 * cfg.shift_block, 1, 1)
     store.norm("aggregate/norm", d)
     store.conv("aggregate/project", d, d, 1, 1, zero=True)  # identity at init
     store.conv("context/scale/mid", d, d, 1, 1)
@@ -117,33 +89,20 @@ def gather_to_reference(P: FeaturePyramid, k: int) -> Tensor:
     return concat(slices, 2)
 
 
-def scale_shift(S: Tensor, plan: ShiftPlan) -> Tensor:
+def scale_shift(S: Tensor, block: int) -> Tensor:
     """Circulant shift along the scale axis: pure copies, zero arithmetic.
 
     Output channel layout is [all d originals | block at -2 | -1 | +1 | +2],
     where the block for offset o at scale s holds the source channels read
-    from scale (s + o) mod n.
+    from scale (s + o) mod n. The neck passes `cfg.shift_block`, d / (4r)
+    channels; offset number b moves channels [b*block, (b+1)*block).
     """
-    if S.ndim != 5 or S.shape[1] != plan.d:
-        raise ValueError(f"scale_shift: stack shape {S.shape} does not match plan d={plan.d}")
-    if plan.block == 0:
-        return S
+    if S.ndim != 5 or block < 1 or 4 * block > S.shape[1]:
+        raise ValueError(f"scale_shift: 4 blocks of {block} channels do not fit stack {S.shape}")
     parts = [S]
     for b, off in enumerate(SHIFT_OFFSETS):
-        blk = narrow(S, 1, b * plan.block, plan.block)
-        parts.append(roll(blk, -off, 2))
+        parts.append(roll(narrow(S, 1, b * block, block), -off, 2))
     return concat(parts, 1)
-
-
-def _fold_scales(x: Tensor):
-    """[N, C, n, h, w] -> [N*n, C, h, w] so 2-D convs apply per scale slice."""
-    n_, c, s, h, w = x.shape
-    return reshape(transpose(x, (0, 2, 1, 3, 4)), (n_ * s, c, h, w)), (n_, s, h, w)
-
-
-def _unfold_scales(x: Tensor, dims) -> Tensor:
-    n_, s, h, w = dims
-    return transpose(reshape(x, (n_, s, x.shape[1], h, w)), (0, 2, 1, 3, 4))
 
 
 def shift_aggregate(shifted: Tensor, params: ParamStore, d: int) -> Tensor:
@@ -151,7 +110,8 @@ def shift_aggregate(shifted: Tensor, params: ParamStore, d: int) -> Tensor:
 
     conv 1x1 (d+shifted -> d), norm + relu, conv 1x1 (d -> d); the second
     conv is zero-initialized, so at init this is exactly the identity on
-    the pre-shift stack.
+    the pre-shift stack. Every op here treats each (scale, pixel) position
+    alike, so they run on a [N, C, n*h, w] view of the stack.
     """
     if shifted.shape[1] != params["aggregate/reduce/weight"].shape[1]:
         raise ValueError(
@@ -159,14 +119,15 @@ def shift_aggregate(shifted: Tensor, params: ParamStore, d: int) -> Tensor:
             f"expected {params['aggregate/reduce/weight'].shape[1]}"
         )
     original = narrow(shifted, 1, 0, d)  # residual source: the pre-shift stack
-    x, dims = _fold_scales(shifted)
+    n_, c, s, h, w = shifted.shape
+    x = reshape(shifted, (n_, c, s * h, w))
     with counting.scope("aggregate/reduce"):
         x = conv2d(x, params["aggregate/reduce/weight"], params["aggregate/reduce/bias"])
     with counting.scope("aggregate/norm"):
         x = relu(channel_norm(x, params["aggregate/norm/gamma"], params["aggregate/norm/beta"]))
     with counting.scope("aggregate/project"):
         x = conv2d(x, params["aggregate/project/weight"], params["aggregate/project/bias"])
-    return add(original, _unfold_scales(x, dims))
+    return add(original, reshape(x, (n_, d, s, h, w)))
 
 
 def dual_global_context(Y: Tensor, params: ParamStore) -> Tensor:
@@ -235,11 +196,10 @@ def csn_forward(P: FeaturePyramid, cfg: NeckConfig, params: ParamStore) -> Featu
     for i in cfg.levels():
         if i not in P:
             raise ValueError(f"csn_forward: input pyramid is missing level {i}")
-    plan = ShiftPlan.for_config(cfg)
     with counting.scope("gather"):
         S = gather_to_reference(P, cfg.k)
     with counting.scope("scale_shift"):
-        shifted = scale_shift(S, plan)
+        shifted = scale_shift(S, cfg.shift_block)
     Y = shift_aggregate(shifted, params, cfg.d)
     Yc = dual_global_context(Y, params)
     with counting.scope("scatter"):

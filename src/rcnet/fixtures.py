@@ -47,7 +47,12 @@ def _stride2_conv(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
 
 def extend_stem(C: FeaturePyramid, params: ParamStore, cfg: NeckConfig) -> FeaturePyramid:
-    """Add levels 6..l_max on top of a backbone pyramid ending at level 5."""
+    """Add levels 6..l_max on top of a backbone pyramid ending at level 5.
+
+    Returns `C` unchanged for augmented-backbone configs, which have no stem.
+    """
+    if not cfg.has_stem:
+        return C
     if C.levels[-1] != 5:
         raise ValueError(f"extend_stem: highest present level is {C.levels[-1]}, expected 5")
     for level in range(6, cfg.l_max + 1):
@@ -66,5 +71,4 @@ def extend_stem(C: FeaturePyramid, params: ParamStore, cfg: NeckConfig) -> Featu
 
 def prepare_inputs(cfg: NeckConfig, params: ParamStore) -> FeaturePyramid:
     """Complete neck input: synthetic stages plus the stem where configured."""
-    C = synth_backbone(cfg)
-    return extend_stem(C, params, cfg) if cfg.has_stem else C
+    return extend_stem(synth_backbone(cfg), params, cfg)

@@ -68,8 +68,7 @@ index-gather formula, so the result is bitwise that formula's.
 channel_norm is one tape node with a closed-form backward; its forward
 runs the same numpy calls in the same order as the composite of
 elementwise ops it replaced, so its output is bitwise unchanged. Its
-backward forms the per-channel sum of g * xh once, as dot products, and
-shares it between the x and the gamma vjp.
+x and gamma vjps each form the per-channel sum of g * xh as dot products.
 """
 
 from __future__ import annotations
@@ -857,31 +856,24 @@ def channel_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     g4 = gamma.data.reshape(1, C, 1, 1)
     out = xh * g4 + beta.data.reshape(1, C, 1, 1)
 
-    # Both the x and the gamma vjp need the per-channel sum of g * xh. The
-    # x vjp runs first on the same g and hands its sum on when gamma is
-    # being differentiated too. Neither reads x: its data is not kept.
-    handed = []
-    gamma_cell = gamma._cell
-
+    # Neither vjp reads x: its data is not kept.
     def vjp_x(g):
         # gx = (gh - mean(gh) - xh * mean(gh * xh)) / den with gh = g * gamma;
         # gamma is per channel, so it factors out of both means
-        g_xh = _channel_dot(g, xh)
-        if gamma_cell.requires_grad:
-            handed.append(g_xh)
-        gx = xh * (g_xh * inv)
+        gx = xh * (_channel_dot(g, xh) * inv)
         gx -= g
         gx += g.sum(axis=axes, keepdims=True) * inv
         gx *= -(g4 / den)
         return gx
 
-    def vjp_gamma(g):
-        return (handed.pop() if handed else _channel_dot(g, xh)).reshape(C)
-
     return _make(
         "channel_norm",
         out,
-        [(x, vjp_x), (gamma, vjp_gamma), (beta, lambda g: g.sum(axis=axes))],
+        [
+            (x, vjp_x),
+            (gamma, lambda g: _channel_dot(g, xh).reshape(C)),
+            (beta, lambda g: g.sum(axis=axes)),
+        ],
     )
 
 

@@ -29,7 +29,7 @@ from rcnet.checks import (
 )
 from rcnet.cli import main
 from rcnet.config import SHIFT_OFFSETS, desk_config, paper_width
-from rcnet.csn import ShiftPlan, scale_shift
+from rcnet.csn import scale_shift
 from rcnet.fixtures import synth_backbone
 from rcnet.pyramid import load_pyramid, save_pyramid
 from rcnet.rng import SplitMix64
@@ -70,10 +70,9 @@ def test_02_wraparound_block_routing():
     """For levels 3..7 the level-6 slice is assembled from levels
     4, 5, 6 (untouched originals), 7, and 3 with circulant wrap."""
     d, blk = 16, 4
-    plan = ShiftPlan(d, blk)
     levels = list(range(3, 8))
     S = Tensor(SplitMix64(77).standard_normal((1, d, 5, 4, 4)))
-    out = scale_shift(S, plan).data
+    out = scale_shift(S, blk).data
     s6 = levels.index(6)
     ok = np.array_equal(out[:, :d, s6], S.data[:, :, s6])  # own features stay
     sources = {-2: 4, -1: 5, 1: 7, 2: 3}

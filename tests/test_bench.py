@@ -10,7 +10,7 @@ from rcnet.bench import (
     scalar_kernel,
     shift_weighted_sum,
 )
-from rcnet.csn import ShiftPlan, scale_shift
+from rcnet.csn import scale_shift
 from rcnet.rng import SplitMix64
 from rcnet.tensor import Tensor
 
@@ -40,10 +40,9 @@ def test_dense_scalar_kernel_matches_brute_force():
 
 
 def test_routing_kernel_reproduces_scale_shift():
-    plan = ShiftPlan(16, 2)
     stack = SplitMix64(5).standard_normal((1, 16, 5, 6, 6))
-    via_shift = scale_shift(Tensor(stack), plan).data
-    via_dense = dense_circulant_conv(stack, routing_kernel(plan))
+    via_shift = scale_shift(Tensor(stack), 2).data
+    via_dense = dense_circulant_conv(stack, routing_kernel(16, 2))
     assert np.array_equal(via_shift, via_dense)
 
 

@@ -9,7 +9,7 @@ from rcnet import checks as checks_mod
 from rcnet.checks import CheckResult
 from rcnet.cli import main
 from rcnet.counting import CountReport
-from rcnet.pyramid import FeaturePyramid, load_pyramid
+from rcnet.pyramid import ContainerError, FeaturePyramid, load_pyramid
 
 
 @pytest.fixture
@@ -131,6 +131,27 @@ def test_gen_fixtures_reports_a_failed_roundtrip(mini_cfg_file, tmp_path, monkey
     assert code == 1
     check = json.loads(capsys.readouterr().out)["checks"]["fixtures_roundtrip"]
     assert check == {"pass": False, "measured": "mismatch", "tolerance": "bitwise"}
+
+
+def test_missing_fixtures_path_is_a_usage_error(mini_cfg_file, tmp_path, capsys):
+    # exit 1 would claim a failed check; an unopenable path is a usage error
+    for argv, path in [
+        (["forward", "fpn"], tmp_path / "does-not-exist.fpz"),
+        (["gen-fixtures"], tmp_path / "missing_dir" / "b.fpz"),
+    ]:
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--config", mini_cfg_file, "--fixtures", str(path)])
+        assert err.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert "usage" in captured.err and str(path) in captured.err, argv
+        assert captured.out == "", argv
+
+
+def test_bad_fixtures_container_raises_the_loader_error(mini_cfg_file, tmp_path):
+    bad = tmp_path / "bad.fpz"
+    bad.write_bytes(b"XXXX")
+    with pytest.raises(ContainerError):
+        main(["forward", "fpn", "--config", mini_cfg_file, "--fixtures", str(bad)])
 
 
 def test_forward_accepts_saved_fixtures(mini_cfg_file, tmp_path, capsys):

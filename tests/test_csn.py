@@ -6,7 +6,6 @@ import pytest
 from rcnet import counting
 from rcnet.config import SHIFT_OFFSETS
 from rcnet.csn import (
-    ShiftPlan,
     csn_forward,
     csn_params,
     dual_global_context,
@@ -74,10 +73,9 @@ class TestScaleShift:
         """Level-6 output blocks must come from levels 4, 5, 7, 3 for
         offsets -2, -1, +1, +2 (circulant wrap at the top)."""
         d, blk = 16, 2
-        plan = ShiftPlan(d, blk)
         levels = list(range(3, 8))
         S = rand((1, d, 5, 4, 4), 10)
-        out = scale_shift(S, plan)
+        out = scale_shift(S, blk)
         assert out.shape[1] == d + 4 * blk
         sources = {-2: 4, -1: 5, 1: 7, 2: 3}
         s_out = levels.index(6)
@@ -87,22 +85,22 @@ class TestScaleShift:
             assert np.array_equal(got, want), f"offset {off}"
 
     def test_original_channels_pass_through(self):
-        plan = ShiftPlan(8, 1)
         S = rand((2, 8, 5, 3, 3), 11)
-        out = scale_shift(S, plan)
+        out = scale_shift(S, 1)
         assert np.array_equal(out.data[:, :8], S.data)
 
     def test_no_shift_plan_is_identity(self):
+        # no config yields block 0 (d > 0 and 4r | d give d / (4r) >= 1),
+        # so a zero block is rejected rather than read as "no shift"
         S = rand((1, 8, 5, 3, 3), 12)
-        out = scale_shift(S, ShiftPlan(8, 0))
-        assert out is S
+        with pytest.raises(ValueError, match="blocks of 0"):
+            scale_shift(S, 0)
 
     def test_circulant_equivariance_all_rotations(self):
-        plan = ShiftPlan(8, 2)
         S = rand((1, 8, 5, 3, 3), 13)
-        base = scale_shift(S, plan).data
+        base = scale_shift(S, 2).data
         for t in range(5):
-            rolled = scale_shift(Tensor(np.roll(S.data, t, axis=2)), plan).data
+            rolled = scale_shift(Tensor(np.roll(S.data, t, axis=2)), 2).data
             assert np.array_equal(rolled, np.roll(base, t, axis=2)), f"rotation {t}"
 
     def test_shifted_blocks_are_a_bijection(self):
@@ -111,24 +109,24 @@ class TestScaleShift:
         d, blk, n = 8, 2, 5
         data = np.zeros((1, d, n, 1, 1))
         data[0, : 4 * blk] = np.arange(4 * blk * n).reshape(4 * blk, n, 1, 1)
-        out = scale_shift(Tensor(data), ShiftPlan(d, blk)).data
+        out = scale_shift(Tensor(data), blk).data
         moved = out[0, d:, :, 0, 0]
         assert sorted(moved.ravel().tolist()) == list(range(4 * blk * n))
 
     def test_plan_validation(self):
-        with pytest.raises(ValueError, match="exceeds"):
-            ShiftPlan(8, 3)
         S = rand((1, 8, 5, 3, 3), 14)
-        with pytest.raises(ValueError, match="plan"):
-            scale_shift(S, ShiftPlan(16, 2))
+        assert scale_shift(S, 2).shape[1] == 16  # 4 * block == d fits exactly
+        with pytest.raises(ValueError, match="do not fit"):
+            scale_shift(S, 3)  # 4 * 3 > 8 channels
+        with pytest.raises(ValueError, match="do not fit"):
+            scale_shift(rand((1, 8, 3, 3), 14), 1)  # not a 5-D stack
 
 
 class TestShiftAggregate:
     def test_identity_at_init(self, mini_cfg):
         store = csn_params(mini_cfg)
-        plan = ShiftPlan.for_config(mini_cfg)
         S = rand((1, mini_cfg.d, 5, 8, 8), 15)
-        out = shift_aggregate(scale_shift(S, plan), store, mini_cfg.d)
+        out = shift_aggregate(scale_shift(S, mini_cfg.shift_block), store, mini_cfg.d)
         assert np.array_equal(out.data, S.data)
 
     def test_matches_fold_compose_oracle(self, mini_cfg):
@@ -137,9 +135,8 @@ class TestShiftAggregate:
             aggregate__project__weight=SplitMix64(16).standard_normal((d, d, 1, 1)),
             aggregate__project__bias=SplitMix64(17).standard_normal((d,)),
         )
-        plan = ShiftPlan.for_config(mini_cfg)
         S = rand((2, d, 5, 4, 4), 18)
-        shifted = scale_shift(S, plan)
+        shifted = scale_shift(S, mini_cfg.shift_block)
         got = shift_aggregate(shifted, store, d).data
 
         n_, c, s, h, w = shifted.shape

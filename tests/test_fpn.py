@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from rcnet import checks
 from rcnet.fixtures import extend_stem, synth_backbone
 from rcnet.fpn import fpn_forward, fpn_params
 from rcnet.pyramid import FeaturePyramid
@@ -88,6 +89,19 @@ def test_no_upward_flow_any_pair(mini_cfg):
                 assert np.array_equal(base[i].data, moved[i].data), f"C{j} -> P{i}"
             elif i < j:
                 assert not np.array_equal(base[i].data, moved[i].data), f"C{j} -/-> P{i}"
+
+
+def test_unidirectional_check_catches_an_upward_leak(mini_cfg, monkeypatch):
+    def leaky(C, store, cfg):
+        out = fpn_forward(C, store, cfg)
+        top = cfg.l_max
+        leaked = out[top].data + C[cfg.l_min].data.mean()
+        return out.with_level(top, Tensor(leaked))
+
+    monkeypatch.setattr(checks, "fpn_forward", leaky)
+    result = checks.check_fpn_unidirectional(mini_cfg)
+    assert result.passed is False
+    assert not result.measured.startswith("upward_leak=0.0 ")
 
 
 def test_missing_level_rejected(mini_cfg):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rcnet import counting
+from rcnet import checks, counting
 from rcnet.checks import SEVER_BIAS, _severed_store
 from rcnet.fixtures import extend_stem, synth_backbone
 from rcnet.revfp import (
@@ -256,6 +256,12 @@ class TestRevfpForward:
             for i in mini_cfg.levels():
                 same = np.array_equal(base[i].data, moved[i].data)
                 assert same == (i not in (j - 1, j)), f"C{j} -> P{i}"
+
+    def test_locality_check_fails_on_an_unsevered_chain(self, mini_cfg, monkeypatch):
+        monkeypatch.setattr(checks, "_severed_store", lambda store, cfg: store)
+        result = checks.check_revfp_locality(mini_cfg)
+        assert result.passed is False
+        assert "expected_change=False" in result.measured
 
     def test_missing_level_rejected(self, mini_cfg):
         store = revfp_params(mini_cfg)

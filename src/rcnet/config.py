@@ -70,6 +70,13 @@ class NeckConfig:
             for ext in self.base_resolution:
                 if ext % div:
                     out.append(f"base extent {ext} not divisible by 2^(l_max-l_min)={div}")
+            # the top level is the smallest map any channel_norm sees
+            h, w = self.resolution(self.l_max)
+            if self.batch >= 1 and self.batch * h * w < 2:
+                out.append(
+                    f"top level {self.l_max} is {h}x{w} at batch {self.batch}; "
+                    "channel_norm needs batch*h*w >= 2 values per channel"
+                )
         if not (0 <= self.seed < 2**64):
             out.append(f"seed={self.seed} outside the unsigned 64-bit range")
         return out

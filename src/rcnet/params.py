@@ -26,8 +26,9 @@ class ParamStore:
         return t
 
     def normal(self, name: str, shape: tuple[int, ...], std: float) -> Tensor:
-        stream = SplitMix64(fold_seed(self.seed, name))
-        return self._add(name, std * stream.standard_normal(shape))
+        draw = SplitMix64(fold_seed(self.seed, name)).standard_normal(shape)
+        draw *= std  # in place: bitwise std * draw, without a second full-size array
+        return self._add(name, draw)
 
     def constant(self, name: str, shape: tuple[int, ...], value: float) -> Tensor:
         return self._add(name, np.full(shape, value, dtype=np.float64))

@@ -11,9 +11,24 @@ generator is fully specified here:
 
 Distinct streams are derived by folding a label into the master seed with
 FNV-1a, so adding a parameter never shifts another parameter's draws.
+
+How the stream is computed: a word depends only on the seed and its
+counter, so any counter range can be computed on its own. `_fill` computes
+one range in blocks of `_BLOCK` words, every step in place in scratch the
+caller hands it. A draw of n normals takes 2 * ceil(n/2) consecutive
+words: the first half give the radii (u1), the second half the angles (u2),
+and pair j is written to output slots 2j (cos) and 2j+1 (sin). A draw of at
+least `_THREAD_MIN` items is shared among the CPUs the process may use: the
+calling thread and one thread per further CPU claim its blocks in turn.
+Each element is computed by the same floating-point operations in the
+same order whatever the block or range it falls in, so the bits depend
+neither on how draws are batched nor on how a draw is split across threads.
 """
 
 from __future__ import annotations
+
+import os
+import threading
 
 import numpy as np
 
@@ -21,6 +36,17 @@ _MASK = (1 << 64) - 1
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+_ROUNDS = ((np.uint64(30), _MIX1), (np.uint64(27), _MIX2), (np.uint64(31), None))
+_TOP53 = np.uint64(11)
+_TWO_PI = 2.0 * np.pi
+
+#: Words computed per step; each scratch row is one block (64 KiB).
+_BLOCK = 8192
+#: Draws of at least this many items (pairs, for normals) are split across CPUs.
+_THREAD_MIN = 1 << 17
+
+_RAMP = np.arange(_BLOCK, dtype=np.uint64)
+_RAMP.flags.writeable = False
 
 
 def fold_seed(seed: int, label: str) -> int:
@@ -31,10 +57,110 @@ def fold_seed(seed: int, label: str) -> int:
     return (seed ^ h) & _MASK
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+def _mix64(w: np.ndarray, seed: np.uint64, counter: int, t: np.ndarray) -> None:
+    """Write words `counter`, `counter`+1, ... of the stream into `w`; `t` is scratch."""
+    np.add(_RAMP[: len(w)], np.uint64(counter), out=w)
+    w *= _GOLDEN
+    w += seed
+    for shift, mult in _ROUNDS:
+        np.right_shift(w, shift, out=t)
+        w ^= t
+        if mult is not None:
+            w *= mult
+
+
+def _uniform(u: np.ndarray, seed: np.uint64, counter: int, w: np.ndarray, t: np.ndarray) -> None:
+    _mix64(w, seed, counter, t)
+    w >>= _TOP53
+    u[...] = w  # a plain cast: a casting ufunc would allocate a buffer
+    u += 1.0
+    u *= 2.0**-53
+
+
+# One step per kind of draw: fill items [a, b) of `out`, whose item 0 has
+# counter `first`, using scratch rows of at least b - a elements.
+def _words_step(out, a, b, seed, first, scratch):
+    _mix64(out[a:b], seed, first + a, scratch[0, : b - a])
+
+
+def _uniforms_step(out, a, b, seed, first, scratch):
+    m = b - a
+    _uniform(out[a:b], seed, first + a, scratch[0, :m], scratch[1, :m])
+
+
+def _normals_step(out, a, b, seed, first, scratch):
+    # out is [pairs, 2]: u1 of pair j is word first + j, u2 is word first + pairs + j
+    m = b - a
+    w, t = scratch[0, :m], scratch[1, :m]
+    r, theta = scratch[2, :m].view(np.float64), scratch[3, :m].view(np.float64)
+    _uniform(r, seed, first + a, w, t)
+    _uniform(theta, seed, first + len(out) + a, w, t)
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    theta *= _TWO_PI
+    # cos/sin go through a contiguous block before the strided slots, so
+    # each runs the same vector loop it would on a whole contiguous array
+    trig = t.view(np.float64)
+    np.cos(theta, out=trig)
+    np.multiply(trig, r, out=out[a:b, 0])
+    np.sin(theta, out=trig)
+    np.multiply(trig, r, out=out[a:b, 1])
+
+
+def _fill(step, out: np.ndarray, lo: int, hi: int, seed: np.uint64, first: int, scratch) -> None:
+    """Fill items [lo, hi) of `out` block by block; allocates no arrays."""
+    block = scratch.shape[1]
+    for a in range(lo, hi, block):
+        step(out, a, min(a + block, hi), seed, first, scratch)
+
+
+def _cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without affinity masks
+        return os.cpu_count() or 1
+
+
+def _draw(step, out: np.ndarray, seed: np.uint64, first: int) -> np.ndarray:
+    """Fill every item of `out`, on every usable CPU when it is large.
+
+    The calling thread and one thread per further CPU claim blocks in turn
+    until none is left, so a CPU that is busy elsewhere takes fewer.
+    """
+    n = len(out)
+    parts = _cpus() if n >= _THREAD_MIN else 1
+    block = max(1, min(_BLOCK, n))
+    scratch = np.empty((parts, 4, block), dtype=np.uint64)
+    if parts == 1:
+        _fill(step, out, 0, n, seed, first, scratch[0])
+        return out
+    starts = iter(range(0, n, block))
+    claim = threading.Lock()
+    errors: list[BaseException] = []
+
+    def work(i: int) -> None:
+        try:
+            while True:
+                with claim:
+                    a = next(starts, None)
+                if a is None:
+                    return
+                _fill(step, out, a, min(a + block, n), seed, first, scratch[i])
+        except BaseException as err:  # re-raised by the caller below
+            errors.append(err)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(1, parts)]
+    for th in threads:
+        th.start()
+    try:
+        work(0)
+    finally:
+        for th in threads:
+            th.join()
+    if errors:
+        raise errors[0]
+    return out
 
 
 class SplitMix64:
@@ -44,26 +170,25 @@ class SplitMix64:
         self._seed = np.uint64(seed & _MASK)
         self._drawn = 0
 
-    def words(self, count: int) -> np.ndarray:
-        start = self._drawn + 1
+    def _take(self, count: int) -> int:
+        """Reserve the next `count` words; return the counter of the first."""
+        first = self._drawn + 1
         self._drawn += count
-        idx = np.arange(start, start + count, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            return _mix64(self._seed + idx * _GOLDEN)
+        return first
+
+    def words(self, count: int) -> np.ndarray:
+        out = np.empty(count, dtype=np.uint64)
+        return _draw(_words_step, out, self._seed, self._take(count))
 
     def uniforms(self, count: int) -> np.ndarray:
         """`count` doubles in (0, 1], each from the top 53 bits of one word."""
-        return ((self.words(count) >> np.uint64(11)).astype(np.float64) + 1.0) * (2.0**-53)
+        out = np.empty(count, dtype=np.float64)
+        return _draw(_uniforms_step, out, self._seed, self._take(count))
 
     def standard_normal(self, shape: tuple[int, ...] | tuple[()] = ()) -> np.ndarray:
         """Standard normals via Box-Muller; output is row-major over `shape`."""
         n = int(np.prod(shape)) if shape else 1
         pairs = (n + 1) // 2
-        u1 = self.uniforms(pairs)
-        u2 = self.uniforms(pairs)
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = 2.0 * np.pi * u2
-        z = np.empty(2 * pairs, dtype=np.float64)
-        z[0::2] = r * np.cos(theta)
-        z[1::2] = r * np.sin(theta)
-        return z[:n].reshape(shape)
+        z = np.empty((pairs, 2), dtype=np.float64)
+        _draw(_normals_step, z, self._seed, self._take(2 * pairs))
+        return z.reshape(-1)[:n].reshape(shape)

@@ -2,6 +2,7 @@
 
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,8 @@ from rcnet.checks import CheckResult
 from rcnet.cli import main
 from rcnet.counting import CountReport
 from rcnet.pyramid import ContainerError, FeaturePyramid, load_pyramid
+
+DESK_JSON = Path(__file__).parent.parent / "desk.json"
 
 
 @pytest.fixture
@@ -145,6 +148,22 @@ def test_missing_fixtures_path_is_a_usage_error(mini_cfg_file, tmp_path, capsys)
         captured = capsys.readouterr()
         assert "usage" in captured.err and str(path) in captured.err, argv
         assert captured.out == "", argv
+
+
+def test_config_the_forward_cannot_run_is_a_usage_error(tmp_path, capsys):
+    # desk.json at a 16x16 base leaves a 1x1 top level at batch 1: one value
+    # per channel for channel_norm, so no command may start on it
+    raw = json.loads(DESK_JSON.read_text(encoding="utf-8"))
+    raw["base_resolution"] = [16, 16]
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(raw))
+    for argv in (["invariants"], ["count"], ["forward", "rcnet"], ["gen-fixtures"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--config", str(path), "--out", str(tmp_path / "r.json")])
+        assert err.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert "usage" in captured.err and "values per channel" in captured.err, argv
+        assert not (tmp_path / "r.json").exists(), argv
 
 
 def test_bad_fixtures_container_raises_the_loader_error(mini_cfg_file, tmp_path):

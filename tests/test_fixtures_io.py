@@ -1,10 +1,18 @@
 """Seeded fixtures, the stem extension, and the FPZ1 container."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from rcnet import rng
+from rcnet.config import desk_config, paper_width
 from rcnet.fixtures import extend_stem, stem_params, synth_backbone
 from rcnet.params import ParamStore
 from rcnet.pyramid import (
@@ -23,6 +31,50 @@ from rcnet.rng import SplitMix64, fold_seed
 from rcnet.tensor import Tensor, conv2d, pad2d, relu
 
 
+class _OracleSplitMix64:
+    """The stream's defining formula, one whole-array numpy expression a step."""
+
+    def __init__(self, seed: int):
+        self._seed = np.uint64(seed)
+        self._drawn = 0
+
+    def words(self, count):
+        start = self._drawn + 1
+        self._drawn += count
+        z = self._seed + np.arange(start, start + count, dtype=np.uint64) * np.uint64(
+            0x9E3779B97F4A7C15
+        )
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> np.uint64(31))
+
+    def uniforms(self, count):
+        return ((self.words(count) >> np.uint64(11)).astype(np.float64) + 1.0) * (2.0**-53)
+
+    def standard_normal(self, shape=()):
+        n = int(np.prod(shape)) if shape else 1
+        pairs = (n + 1) // 2
+        u1 = self.uniforms(pairs)
+        u2 = self.uniforms(pairs)
+        r = np.sqrt(-2.0 * np.log(u1))
+        theta = 2.0 * np.pi * u2
+        z = np.empty(2 * pairs, dtype=np.float64)
+        z[0::2] = r * np.cos(theta)
+        z[1::2] = r * np.sin(theta)
+        return z[:n].reshape(shape)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+_B = rng._BLOCK
+_T = rng._THREAD_MIN
+# item counts (pairs, for normals) around a block boundary, and one large
+# enough to be shared among threads, with an odd count
+_ITEMS = [1, 3, _B - 1, _B, _B + 1, _T + 1]
+
+
 class TestSplitMix:
     def test_batching_independence(self):
         a = SplitMix64(42)
@@ -38,6 +90,20 @@ class TestSplitMix:
             487617019471545679,
         ]
 
+    def test_known_normals(self):
+        # frozen before the blocked kernel; guards the normal stream's bits
+        first = SplitMix64(0).standard_normal((4,))
+        assert [float(v).hex() for v in first] == [
+            "0x1.f716c62582fc8p-2",
+            "0x1.5156175ba95f4p-4",
+            "0x1.465bb6990b426p+0",
+            "-0x1.e311ef3c983efp-3",
+        ]
+        # pair 8192 of a 8193-pair draw, past the first 8192-pair block
+        past = SplitMix64(0).standard_normal((16386,))
+        assert float(past[16384]).hex() == "-0x1.ac1e0384bfda2p-5"
+        assert float(past[16385]).hex() == "-0x1.3c2a1e0efaf33p-1"
+
     def test_fold_seed_separates_labels(self):
         assert fold_seed(7, "a") != fold_seed(7, "b")
         assert fold_seed(7, "a") == fold_seed(7, "a")
@@ -46,6 +112,123 @@ class TestSplitMix:
         flat = SplitMix64(5).standard_normal((6,))
         square = SplitMix64(5).standard_normal((2, 3))
         assert np.array_equal(flat.reshape(2, 3), square)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize("items", _ITEMS)
+    def test_matches_the_formula_bitwise(self, seed, items, monkeypatch):
+        # three threads share the large draws on any machine
+        monkeypatch.setattr(rng, "_cpus", lambda: 3)
+        for kind, arg in [
+            ("words", items),
+            ("uniforms", items),
+            ("standard_normal", (2 * items,)),
+            ("standard_normal", (2 * items - 1,)),
+        ]:
+            got = getattr(SplitMix64(seed), kind)(arg)
+            assert _same_bits(got, getattr(_OracleSplitMix64(seed), kind)(arg)), (kind, arg)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_small_shapes_match_the_formula_bitwise(self, seed):
+        for shape in [(), (1,), (7,), (3, 5, 7), (0,)]:
+            got = SplitMix64(seed).standard_normal(shape)
+            assert _same_bits(got, _OracleSplitMix64(seed).standard_normal(shape)), shape
+
+    def test_interleaved_draws_match_the_formula_bitwise(self):
+        ours, oracle = SplitMix64(2**64 - 1), _OracleSplitMix64(2**64 - 1)
+        for kind, arg in [
+            ("standard_normal", (5,)), ("words", 3), ("uniforms", _B + 1),
+            ("standard_normal", (2, _B + 3)), ("words", _T + 5), ("standard_normal", ()),
+            ("uniforms", 2), ("standard_normal", (2 * _T + 3,)), ("words", 1),
+        ]:
+            got, want = getattr(ours, kind)(arg), getattr(oracle, kind)(arg)
+            assert _same_bits(got, want), (kind, arg)
+
+    @pytest.mark.parametrize(
+        "step, dtype, width",
+        [(rng._words_step, np.uint64, None), (rng._uniforms_step, np.float64, None),
+         (rng._normals_step, np.float64, 2)],
+    )
+    def test_fill_bits_do_not_depend_on_the_split(self, step, dtype, width):
+        n, seed, first = 3 * _B + 17, np.uint64(2**64 - 1), 12345
+        shape = (n,) if width is None else (n, width)
+        scratch = np.empty((4, _B), dtype=np.uint64)
+        whole = np.empty(shape, dtype=dtype)
+        rng._fill(step, whole, 0, n, seed, first, scratch)
+        for cuts in [(1,), (_B, 2 * _B + 5), (2, 4099, 3 * _B)]:
+            parts = np.zeros(shape, dtype=dtype)
+            bounds = (0, *cuts, n)
+            for lo, hi in reversed(list(zip(bounds, bounds[1:]))):
+                rng._fill(step, parts, lo, hi, seed, first, scratch)
+            assert _same_bits(parts, whole), cuts
+
+    def test_worker_exception_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(rng, "_cpus", lambda: 2)
+        main = threading.main_thread()
+
+        def failing_step(out, a, b, seed, first, scratch):
+            if threading.current_thread() is main:
+                time.sleep(0.01)  # leave blocks for the worker to claim
+            else:
+                raise RuntimeError("worker failed")
+
+        with pytest.raises(RuntimeError, match="worker failed"):
+            rng._draw(failing_step, np.empty(_T), np.uint64(1), 1)
+
+    def test_every_block_claimed_once_under_contention(self, monkeypatch):
+        # more threads than cores, switching as often as the interpreter
+        # allows: a lost or doubled claim would skip or repeat a block
+        monkeypatch.setattr(rng, "_cpus", lambda: 8)
+        claimed, normals_step = [], rng._normals_step
+
+        def counting_step(out, a, b, seed, first, scratch):
+            claimed.append(a)
+            normals_step(out, a, b, seed, first, scratch)
+
+        monkeypatch.setattr(rng, "_normals_step", counting_step)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = SplitMix64(3).standard_normal((2 * _T + 5,))
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(claimed) == list(range(0, _T + 3, _B))
+        assert _same_bits(got, _OracleSplitMix64(3).standard_normal((2 * _T + 5,)))
+
+    def test_one_cpu_process_draws_the_same_bits(self, monkeypatch):
+        # a child pinned to one CPU fills every draw on its calling thread;
+        # the parent is made to share large draws among three threads
+        if not hasattr(os, "sched_setaffinity"):
+            pytest.skip("os.sched_setaffinity is not available")
+        monkeypatch.setattr(rng, "_cpus", lambda: 3)
+        cfg = paper_width(desk_config(seed=7))
+        cpu = min(os.sched_getaffinity(0))
+        child = subprocess.run(
+            [sys.executable, "-c", _PINNED_DIGEST, str(cpu), json.dumps(cfg.to_dict())],
+            capture_output=True, text=True, timeout=120, check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert child.stdout.split() == ["1", _backbone_digest(cfg)]
+
+
+def _backbone_digest(cfg) -> str:
+    h = hashlib.sha256()
+    for _, t in synth_backbone(cfg).items():
+        h.update(t.data.tobytes())
+    return h.hexdigest()
+
+
+# the same digest, in a child process pinned to the CPU named by argv[1]
+_PINNED_DIGEST = """
+import hashlib, json, os, sys
+os.sched_setaffinity(0, {int(sys.argv[1])})
+from rcnet import rng
+from rcnet.config import NeckConfig
+from rcnet.fixtures import synth_backbone
+h = hashlib.sha256()
+for _, t in synth_backbone(NeckConfig(**json.loads(sys.argv[2]))).items():
+    h.update(t.data.tobytes())
+print(rng._cpus(), h.hexdigest())
+"""
 
 
 class TestSynthBackbone:

@@ -15,6 +15,16 @@ is deliberately trivial to parse from any language:
 header, lengths, or a NaN/Inf payload) or a `PyramidError` (levels that
 do not form a pyramid of 4-D tensors), never with another exception
 type.
+
+How a container is written and read: `save_pyramid` and `pyramid_digest`
+take one serialization, `_pieces`, a piece at a time, so neither builds
+the container in memory. `load_pyramid` reads the 8-byte prefix and the
+header, then checks every declared blob length against the file size
+(from `fstat`) before it allocates any level; a header that declares more
+bytes than the file holds fails there, whatever size it declares. Only
+then does it read each blob with `readinto` straight into that level's
+own array. A file with several faults therefore reports a header or
+length fault before a payload fault.
 """
 
 from __future__ import annotations
@@ -22,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 
 import numpy as np
 
@@ -109,7 +120,12 @@ class FeaturePyramid:
 # container
 
 
-def pyramid_bytes(pyr: FeaturePyramid, seed=None, config: dict | None = None) -> bytes:
+def _pieces(pyr: FeaturePyramid, seed=None, config: dict | None = None):
+    """The FPZ1 serialization of `pyr`: the header bytes, then each level's blob.
+
+    A blob is the level's own array whenever it is already contiguous and
+    little-endian, so writing or hashing the pieces copies no level.
+    """
     header = {
         "levels": pyr.levels,
         "shapes": {str(i): list(pyr[i].shape) for i in pyr.levels},
@@ -118,30 +134,74 @@ def pyramid_bytes(pyr: FeaturePyramid, seed=None, config: dict | None = None) ->
         "config": config,
     }
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    parts = [MAGIC, len(head).to_bytes(4, "little"), head]
+    yield MAGIC + len(head).to_bytes(4, "little") + head
     for i in pyr.levels:
-        parts.append(np.ascontiguousarray(pyr[i].data, dtype="<f8").tobytes())
-    return b"".join(parts)
+        yield np.ascontiguousarray(pyr[i].data, dtype="<f8").reshape(-1)
+
+
+def pyramid_bytes(pyr: FeaturePyramid, seed=None, config: dict | None = None) -> bytes:
+    """The whole container in memory, for small pyramids and tests."""
+    return b"".join(_pieces(pyr, seed=seed, config=config))
 
 
 def save_pyramid(path: str, pyr: FeaturePyramid, seed=None, config: dict | None = None):
     with open(path, "wb") as fh:
-        fh.write(pyramid_bytes(pyr, seed=seed, config=config))
+        for piece in _pieces(pyr, seed=seed, config=config):
+            fh.write(piece)
 
 
 def load_pyramid(path: str) -> FeaturePyramid:
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != MAGIC:
-        raise BadMagicError(f"{path}: expected magic {MAGIC!r}, got {blob[:4]!r}")
-    if len(blob) < 8:
-        raise HeaderError(f"{path}: file too short for a header length")
-    head_len = int.from_bytes(blob[4:8], "little")
-    head_end = 8 + head_len
-    if len(blob) < head_end:
-        raise HeaderError(f"{path}: declared header length {head_len} exceeds file size")
+        size = os.fstat(fh.fileno()).st_size
+        prefix = fh.read(8)
+        if prefix[:4] != MAGIC:
+            raise BadMagicError(f"{path}: expected magic {MAGIC!r}, got {prefix[:4]!r}")
+        if len(prefix) < 8:
+            raise HeaderError(f"{path}: file too short for a header length")
+        head_len = int.from_bytes(prefix[4:8], "little")
+        head_end = 8 + head_len
+        if size < head_end:
+            raise HeaderError(f"{path}: declared header length {head_len} exceeds file size")
+        header = _parse_header(path, fh.read(head_len))
+
+        offset = head_end
+        shapes = []
+        for level in header["levels"]:
+            shape = header["shapes"].get(str(level))
+            if shape is None:
+                raise HeaderError(f"{path}: header has no shape for level {level}")
+            if not isinstance(shape, list) or not all(_is_int(n) and n >= 0 for n in shape):
+                raise HeaderError(
+                    f"{path}: level {level} shape {shape!r} is not a list of non-negative integers"
+                )
+            nbytes = math.prod(shape) * 8  # exact: Python ints do not overflow
+            if offset + nbytes > size:
+                raise BlobLengthError(
+                    f"{path}: level {level} blob needs {nbytes} bytes, {size - offset} remain"
+                )
+            shapes.append((level, shape))
+            offset += nbytes
+        if offset != size:
+            raise BlobLengthError(f"{path}: {size - offset} trailing bytes after last blob")
+
+        tensors = {}
+        for level, shape in shapes:
+            data = np.empty(shape, dtype="<f8")
+            got = fh.readinto(data.reshape(-1).view(np.uint8))
+            if got != data.nbytes:  # the file shrank after it was measured
+                raise BlobLengthError(
+                    f"{path}: level {level} blob needs {data.nbytes} bytes, {got} remain"
+                )
+            if not np.isfinite(data).all():
+                raise PayloadError(f"{path}: level {level} blob holds NaN or Inf values")
+            tensors[level] = Tensor(data)
+    return FeaturePyramid(tensors)
+
+
+def _parse_header(path: str, head: bytes) -> dict:
+    """The JSON header, with its `levels`, `shapes` and `dtype` fields checked."""
     try:
-        header = json.loads(blob[8:head_end].decode("utf-8"))
+        header = json.loads(head.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise HeaderError(f"{path}: malformed header: {err}") from err
     if not isinstance(header, dict):
@@ -158,31 +218,7 @@ def load_pyramid(path: str) -> FeaturePyramid:
         raise HeaderError(f"{path}: 'levels' repeats a level: {levels!r}")
     if not isinstance(shapes, dict):
         raise HeaderError(f"{path}: 'shapes' must be an object keyed by level")
-
-    offset = head_end
-    tensors = {}
-    for level in levels:
-        shape = shapes.get(str(level))
-        if shape is None:
-            raise HeaderError(f"{path}: header has no shape for level {level}")
-        if not isinstance(shape, list) or not all(_is_int(n) and n >= 0 for n in shape):
-            raise HeaderError(
-                f"{path}: level {level} shape {shape!r} is not a list of non-negative integers"
-            )
-        nbytes = math.prod(shape) * 8  # exact: Python ints do not overflow
-        if offset + nbytes > len(blob):
-            raise BlobLengthError(
-                f"{path}: level {level} blob needs {nbytes} bytes, "
-                f"{len(blob) - offset} remain"
-            )
-        data = np.frombuffer(blob, dtype="<f8", count=nbytes // 8, offset=offset)
-        if not np.isfinite(data).all():
-            raise PayloadError(f"{path}: level {level} blob holds NaN or Inf values")
-        tensors[level] = Tensor(data.reshape(shape).astype(np.float64, copy=True))
-        offset += nbytes
-    if offset != len(blob):
-        raise BlobLengthError(f"{path}: {len(blob) - offset} trailing bytes after last blob")
-    return FeaturePyramid(tensors)
+    return header
 
 
 def _is_int(value) -> bool:
@@ -191,4 +227,7 @@ def _is_int(value) -> bool:
 
 def pyramid_digest(pyr: FeaturePyramid) -> str:
     """SHA-256 over the canonical serialized form (no seed/config echo)."""
-    return hashlib.sha256(pyramid_bytes(pyr)).hexdigest()
+    h = hashlib.sha256()
+    for piece in _pieces(pyr):
+        h.update(piece)
+    return h.hexdigest()

@@ -7,6 +7,8 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from rcnet.pyramid import (
     PyramidError,
     load_pyramid,
     pyramid_bytes,
+    pyramid_digest,
     save_pyramid,
 )
 from rcnet.rng import SplitMix64, fold_seed
@@ -70,9 +73,10 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 _B = rng._BLOCK
 _T = rng._THREAD_MIN
-# item counts (pairs, for normals) around a block boundary, and one large
-# enough to be shared among threads, with an odd count
-_ITEMS = [1, 3, _B - 1, _B, _B + 1, _T + 1]
+# item counts (pairs, for normals) around a block boundary and on both sides
+# of the switch to threads; 8191-8193 fall inside one block, and 131073 ends
+# a threaded draw on a one-item block
+_ITEMS = [1, 3, 8191, 8192, 8193, _B - 1, _B, _B + 1, _T - 1, _T, _T + 1, 131073]
 
 
 class TestSplitMix:
@@ -99,7 +103,7 @@ class TestSplitMix:
             "0x1.465bb6990b426p+0",
             "-0x1.e311ef3c983efp-3",
         ]
-        # pair 8192 of a 8193-pair draw, past the first 8192-pair block
+        # pair 8192 of a 8193-pair draw, frozen when a block was 8192 pairs
         past = SplitMix64(0).standard_normal((16386,))
         assert float(past[16384]).hex() == "-0x1.ac1e0384bfda2p-5"
         assert float(past[16385]).hex() == "-0x1.3c2a1e0efaf33p-1"
@@ -342,6 +346,25 @@ class TestContainer:
         with pytest.raises(PyramidError):
             load_pyramid(str(path))
 
+    @pytest.mark.parametrize("which", ["mini", "desk", "transposed"])
+    def test_bytes_and_digest_match_the_joined_serializer(self, which, mini_cfg, desk_cfg, tmp_path):
+        if which == "transposed":  # a level that is a non-contiguous view
+            base = SplitMix64(4).standard_normal((1, 3, 8, 8))
+            pyr = FeaturePyramid(
+                {3: Tensor(base.transpose(0, 1, 3, 2)), 4: Tensor(np.zeros((1, 3, 4, 4)))}
+            )
+            assert not pyr[3].data.flags.c_contiguous
+            cfg = None
+        else:
+            cfg = mini_cfg if which == "mini" else desk_cfg
+            pyr = synth_backbone(cfg)
+        seed, config = (None, None) if cfg is None else (cfg.seed, cfg.to_dict())
+        path = tmp_path / "p.fpz"
+        save_pyramid(str(path), pyr, seed=seed, config=config)
+        assert path.read_bytes() == _oracle_bytes(pyr, seed=seed, config=config)
+        assert pyramid_digest(pyr) == hashlib.sha256(_oracle_bytes(pyr)).hexdigest()
+        assert load_pyramid(str(path)).equal_bitwise(pyr)
+
     def test_pyramid_invariants_enforced(self):
         with pytest.raises(PyramidError, match="not consecutive"):
             FeaturePyramid({3: Tensor(np.zeros((1, 2, 8, 8))), 5: Tensor(np.zeros((1, 2, 2, 2)))})
@@ -363,6 +386,22 @@ class TestConfigValidation:
         message = str(err.value)
         for fragment in ["at least 5 levels", "divisible by 4*r", "k=9", "batch=0", "31"]:
             assert fragment in message
+
+
+def _oracle_bytes(pyr: FeaturePyramid, seed=None, config=None) -> bytes:
+    """The container as one joined bytes object, each level copied out by `tobytes`."""
+    header = {
+        "levels": pyr.levels,
+        "shapes": {str(i): list(pyr[i].shape) for i in pyr.levels},
+        "dtype": "f64le",
+        "seed": seed,
+        "config": config,
+    }
+    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    parts = [b"FPZ1", len(head).to_bytes(4, "little"), head]
+    for i in pyr.levels:
+        parts.append(np.ascontiguousarray(pyr[i].data, dtype="<f8").tobytes())
+    return b"".join(parts)
 
 
 def _mini_container() -> bytes:
@@ -403,6 +442,38 @@ class TestLoaderBoundary:
         header["shapes"]["3"] = [1, 2**32, 2**32, 1]  # the product wraps to 0 in int64
         with pytest.raises(BlobLengthError, match="needs"):
             self._load(tmp_path, _join(header, payload))
+
+    def test_level_larger_than_the_file_rejected_before_any_allocation(self, tmp_path):
+        # a 1 MiB first level, then a level declared far larger than the file:
+        # the lengths are checked before either level is allocated
+        blob = pyramid_bytes(
+            FeaturePyramid(
+                {3: Tensor(np.ones((1, 2, 256, 256))), 4: Tensor(np.ones((1, 2, 128, 128)))}
+            )
+        )
+        header, payload = _split(blob)
+        header["shapes"]["4"] = [2**40, 1, 1, 1]
+        path = tmp_path / "huge.fpz"
+        path.write_bytes(_join(header, payload))
+        del blob, payload
+        tracemalloc.start()
+        try:
+            with pytest.raises(BlobLengthError, match=f"level 4 blob needs {2**43} bytes"):
+                load_pyramid(str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024, peak
+
+    def test_file_cut_short_after_its_size_was_read(self, tmp_path, monkeypatch):
+        # the size the loader checks against is the whole container's, but
+        # the last 16 bytes are gone when it reads the blobs
+        blob = _mini_container()
+        path = tmp_path / "short.fpz"
+        path.write_bytes(blob[:-16])
+        monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(st_size=len(blob)))
+        with pytest.raises(BlobLengthError, match="level 4 blob needs 64 bytes, 48 remain"):
+            load_pyramid(str(path))
 
     def test_negative_extent_rejected(self, tmp_path):
         header, payload = _split(_mini_container())

@@ -4,10 +4,14 @@ Small tensors are checked coordinate-exhaustively; the composed-graph case
 checks that chained vjps accumulate correctly through shared inputs.
 """
 
+import re
+
 import numpy as np
 import pytest
 
-from rcnet.checks import gradient_op_checks
+from rcnet import gradcheck as gradcheck_mod
+from rcnet import tensor as tensor_mod
+from rcnet.checks import gradient_end_to_end_check, gradient_op_checks
 from rcnet.gradcheck import check_gradients
 from rcnet.rng import SplitMix64
 from rcnet.tensor import (
@@ -67,3 +71,73 @@ def test_composed_graph_matches_finite_differences():
     results = check_gradients(build_loss, [x, w, b, gamma, beta], max_coords=512)
     for r in results:
         assert r.passed, f"{r.name}: {r.max_rel_err:.3e}"
+
+
+def test_a_straddled_kink_passes_at_the_first_step_that_clears_it():
+    # relu's kink lies just under 1e-6 below x. The 1e-5 stencil reads 0.55.
+    # The 1e-6 stencil still straddles it: its central difference is within
+    # TOL (7.5e-5) but its one-sided differences are 1.5e-4 apart, so that
+    # step is refused. The 1e-7 stencil clears the kink.
+    x = Tensor(np.array([0.99985e-6]), requires_grad=True, name="x")
+    (result,) = check_gradients(lambda: tsum(relu(x)), [x])
+    assert result.passed and result.remeasured == 1
+    assert result.max_rel_err < 1e-8
+
+
+def test_a_wrong_gradient_fails_at_every_step(monkeypatch):
+    # the same kink with a relu whose vjp is 1e-3 too large
+    real = tensor_mod._make
+
+    def skewed(op, data, vjps):
+        if op == "relu":
+            vjps = [(t, lambda g, vjp=vjp: vjp(g) * (1 + 1e-3)) for t, vjp in vjps]
+        return real(op, data, vjps)
+
+    monkeypatch.setattr(tensor_mod, "_make", skewed)
+    x = Tensor(np.array([0.99985e-6]), requires_grad=True, name="x")
+    (result,) = check_gradients(lambda: tsum(relu(x)), [x])
+    assert not result.passed and result.remeasured == 1
+
+
+def test_op_checks_need_no_smaller_step(monkeypatch):
+    # no op coordinate fails at the first step, so every op result is the
+    # one the first step alone gives
+    monkeypatch.setattr(gradcheck_mod, "FINER_STEPS", ())
+    first_step_only = gradient_op_checks(seed=7)
+    assert [(r.name, r.measured) for r in first_step_only] == [
+        (r.name, r.measured) for r in OP_RESULTS
+    ]
+
+
+def _at_a_smaller_step(result) -> int:
+    return int(re.search(r"; (\d+) coords at a smaller step", result.measured).group(1))
+
+
+@pytest.mark.parametrize("seed", [1, 21])
+def test_end_to_end_check_passes_across_a_kink(seed):
+    # at these seeds a 1e-5 stencil straddles a relu or max-pool switch
+    result = gradient_end_to_end_check(seed)
+    assert result.passed, result.measured
+    assert _at_a_smaller_step(result) > 0
+
+
+def test_end_to_end_check_at_seed_7_needs_no_smaller_step():
+    result = gradient_end_to_end_check(7)
+    assert result.passed and _at_a_smaller_step(result) == 0, result.measured
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_end_to_end_check_fails_a_wrong_conv_weight_gradient(seed, monkeypatch):
+    # one conv's weight vjp 1e-3 too large: no step can pass it
+    real = tensor_mod._make
+
+    def skewed(op, data, vjps):
+        if op == "conv2d" and vjps[1][0].name == "lateral/4/weight":
+            (x, vjp_x), (w, vjp_w), bias = vjps
+            vjps = [(x, vjp_x), (w, lambda g: vjp_w(g) * (1 + 1e-3)), bias]
+        return real(op, data, vjps)
+
+    monkeypatch.setattr(tensor_mod, "_make", skewed)
+    result = gradient_end_to_end_check(seed)
+    assert not result.passed and "worst at lateral/4/weight" in result.measured, result.measured
+    assert _at_a_smaller_step(result) > 0

@@ -58,6 +58,21 @@ matmul. Neither path keeps a buffer on the tape: the im2col weight vjp
 rebuilds its buffer from the input data it holds, and the im2col input
 vjp accumulates kernel tap by kernel tap.
 
+The im2col buffer is built one block at a time, by one fill routine that
+copies each tap's in-bounds span straight from x and zeroes only the
+strips that read padding (x is never padded). The forward takes blocks of
+output rows, the least power of two holding 1024 output pixels that is a
+multiple of 16, and writes each block's GEMM into its rows of the
+output; a map one block covers is one block. The weight vjp takes blocks
+of input channels, a power of two that divides Cin and whose buffer is no
+bigger than one forward block (at least 16 weight columns), and writes
+each block's GEMM into its columns of the weight grad. Every output
+element is then formed by the same BLAS kernel as in one whole-map GEMM,
+so the bits do not depend on the blocks; `_conv_blocks` says which block
+shapes broke that, and small convs run as one block. Because no conv
+frees a whole-map buffer any more, importing this module under glibc fixes
+malloc's mmap and trim thresholds (`_pin_malloc_thresholds`).
+
 The resampling kernels read strided views rather than building gather
 buffers. maxpool2d folds np.maximum over its k*k window views, and its
 backward re-derives each window's first maximum from x and the output.
@@ -73,6 +88,8 @@ x and gamma vjps each form the per-channel sum of g * xh as dot products.
 
 from __future__ import annotations
 
+import ctypes
+import os
 from contextvars import ContextVar
 from typing import Callable, Iterable, Sequence
 
@@ -565,6 +582,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
         raise ValueError(f"conv2d: bias shape {bias.shape} != ({Cout},)")
     if stride < 1 or padding < 0:
         raise ValueError("conv2d: stride must be >= 1 and padding >= 0")
+    if H + 2 * padding < kh or W + 2 * padding < kw:
+        raise ValueError(
+            f"conv2d: no output pixel for input {H}x{W}, kernel {kh}x{kw}, "
+            f"stride {stride}, padding {padding}: the kernel is larger than the padded input"
+        )
     if (H + 2 * padding - kh) % stride or (W + 2 * padding - kw) % stride:
         raise ValueError(
             f"conv2d: non-integer output extent for input {H}x{W}, "
@@ -586,20 +608,18 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     K, P = Cin * kh * kw, Hp * Wp
     xd, wd = x.data, weight.data
     wmat = wd.reshape(Cout, K)
+    rows, chans = _conv_blocks(Cout, Cin, kh * kw, Hp, Wp)
 
-    def window(a, i, j):  # the pixels kernel tap (i, j) reads, one per output pixel
-        return a[:, :, i : i + stride * Hp : stride, j : j + stride * Wp : stride]
+    def im2col(r0, r1, c0, c1):  # [N, (c1-c0)*kh*kw, (r1-r0)*Wp]
+        return _im2col(xd[:, c0:c1], kh, kw, stride, padding, r0, r1, Wp)
 
-    def im2col():  # [N, K, P]; the GEMMs below read it and its transpose as views
-        if pointwise:
-            return xd.reshape(N, Cin, P)  # a view when x is contiguous
-        xp = np.pad(xd, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-        cols = np.empty((N, Cin, kh, kw, Hp, Wp), dtype=np.float64)
-        for i, j in taps:
-            cols[:, :, i, j] = window(xp, i, j)
-        return cols.reshape(N, K, P)
-
-    out = np.matmul(wmat, im2col()).reshape(N, Cout, Hp, Wp)  # NCHW as it comes
+    if pointwise:  # x itself is the im2col; a view when x is contiguous
+        out = np.matmul(wmat, xd.reshape(N, Cin, P)).reshape(N, Cout, Hp, Wp)
+    else:  # each block's GEMM writes its rows of the NCHW output
+        out = np.empty((N, Cout, Hp, Wp), dtype=np.float64)
+        for r0, r1 in _blocks(Hp, rows):
+            dst = out[:, :, r0:r1].reshape(N, Cout, (r1 - r0) * Wp)  # a view
+            np.matmul(wmat, im2col(r0, r1, 0, Cin), out=dst)
     out += bias.data[:, None, None]
 
     # Neither vjp reads a buffer kept from the forward: the weight vjp keeps
@@ -613,14 +633,21 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
             return gx
         gxp = np.zeros((N, Cin, H + 2 * padding, W + 2 * padding), dtype=np.float64)
         for i, j in taps:
-            tap = window(gxp, i, j)
+            tap = gxp[:, :, i : i + stride * Hp : stride, j : j + stride * Wp : stride]
             tap += np.matmul(wd[:, :, i, j].T, g).reshape(N, Cin, Hp, Wp)
         if padding:
             return gxp[:, :, padding : padding + H, padding : padding + W]
         return gxp
 
     def vjp_w(g):
-        gw = np.matmul(g.reshape(N, Cout, P), im2col().transpose(0, 2, 1))  # [N, Cout, K]
+        g = g.reshape(N, Cout, P)
+        if pointwise:
+            gw = np.matmul(g, xd.reshape(N, Cin, P).transpose(0, 2, 1))  # [N, Cout, K]
+        else:  # each channel block's GEMM writes its columns of gw
+            gw = np.empty((N, Cout, K), dtype=np.float64)
+            for c0, c1 in _blocks(Cin, chans):
+                cols = im2col(0, Hp, c0, c1).transpose(0, 2, 1)
+                np.matmul(g, cols, out=gw[:, :, c0 * kh * kw : c1 * kh * kw])
         gwt = np.empty(wd.shape)  # owned, so the leaf keeps it without a copy
         np.sum(gw, axis=0, out=gwt.reshape(Cout, K))
         return gwt
@@ -632,15 +659,121 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     )
 
 
-def _tap_span(i: int, padding: int, n_in: int, n_out: int) -> tuple[slice, slice]:
-    """Output and input ranges along one axis where stride-1 tap i reads inside the input.
+#: The least number of output pixels (per sample) in one forward im2col
+#: block. None of these three constants is a knob: the bits rest on them.
+_BLOCK_PIXELS = 1024
 
-    Output o reads input o + i - padding; outputs whose read falls in the
+#: Each block spans a multiple of this many GEMM rows (output pixels in the
+#: forward, weight columns in `vjp_w`).
+_GEMM_TILE = 16
+
+#: A conv with fewer weights than this runs as one block.
+_BLOCK_MIN_WEIGHTS = 4096
+
+
+def _pin_malloc_thresholds() -> None:
+    """Fix glibc's mmap and trim thresholds where its own heuristic settles after a large buffer.
+
+    glibc raises its mmap threshold only when it frees a large mmapped
+    chunk (to that chunk's size, at most 32 MiB), and its trim threshold
+    with it (to twice that). A whole-map im2col buffer did that in the first
+    conv of a process. Blocked buffers never do, so the heap top was given
+    back and faulted in again on every pass: about 7000 minor faults and 20
+    ms of system time in a desk-width forward pass, 74000 and 180 ms in a
+    `verify` pass. Fixing both at their largest dynamic values gives every
+    process the state the whole-map buffers led to. Any C library but glibc
+    is left alone.
+    """
+    try:
+        glibc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):
+        glibc = None
+    if not glibc:
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
+_pin_malloc_thresholds()
+
+
+def _conv_blocks(Cout: int, Cin: int, taps: int, Hp: int, Wp: int) -> tuple[int, int]:
+    """Output rows per forward im2col block, and input channels per `vjp_w` block.
+
+    A forward block is the least power of two of rows that holds
+    `_BLOCK_PIXELS` output pixels, a multiple of `_GEMM_TILE`; the last
+    block takes the remainder. A `vjp_w` block is the greatest power of two
+    of channels whose buffer is no bigger than one forward block's, but at
+    least the least one whose `channels * taps` is a multiple of
+    `_GEMM_TILE`, and no more than divides Cin; where no such block divides
+    Cin, `vjp_w` is one block. A map one forward block covers, or a conv
+    with fewer than `_BLOCK_MIN_WEIGHTS` weights, is one block of each.
+
+    Why: the bits of a GEMM output element are the same in a block as in
+    the whole GEMM only while the BLAS forms it with the same kernel. On the
+    OpenBLAS measured here (SkylakeX kernels), blocks of 67 pixels, of 28
+    channels at 3x3 (252 weight columns), a small last block, or a last
+    channel block longer than the others each moved the last bits of some
+    elements; blocks under this rule kept them on every shape tried.
+    """
+    rows = 1
+    while rows * Wp < _BLOCK_PIXELS or rows * Wp % _GEMM_TILE:
+        rows *= 2
+    if rows >= Hp or Cout * Cin * taps < _BLOCK_MIN_WEIGHTS:
+        return Hp, Cin
+    chans = 1
+    while chans * taps % _GEMM_TILE or 2 * chans * Hp <= Cin * rows:
+        chans *= 2
+    chans = min(chans, Cin & -Cin)  # the greatest power of two that divides Cin
+    return rows, Cin if chans * taps % _GEMM_TILE else chans
+
+
+def _blocks(n: int, step: int):
+    """The [start, stop) blocks of `step` that cover range(n); the last one takes the remainder."""
+    starts = list(range(0, max(n - step, 0) + 1, step))
+    return zip(starts, starts[1:] + [n])
+
+
+def _im2col(x, kh, kw, stride, padding, r0, r1, Wp) -> np.ndarray:
+    """[N, C*kh*kw, (r1-r0)*Wp]: the pixels each kernel tap reads for output rows r0:r1.
+
+    Each tap copies its in-bounds span straight from x and zeroes only the
+    strips that read padding, so no padded copy of x is made.
+    """
+    N, C, H, W = x.shape
+    R = r1 - r0
+    cols = np.empty((N, C, kh, kw, R, Wp), dtype=np.float64)
+    for i in range(kh):
+        oy, iy = _tap_span(i, padding, H, R, stride, r0)
+        for j in range(kw):
+            ox, ix = _tap_span(j, padding, W, Wp, stride)
+            tap = cols[:, :, i, j]
+            tap[:, :, oy, ox] = x[:, :, iy, ix]
+            if oy.start:
+                tap[:, :, : oy.start] = 0.0
+            if oy.stop < R:
+                tap[:, :, oy.stop :] = 0.0
+            if ox.start:
+                tap[:, :, oy, : ox.start] = 0.0
+            if ox.stop < Wp:
+                tap[:, :, oy, ox.stop :] = 0.0
+    return cols.reshape(N, C * kh * kw, R * Wp)
+
+
+def _tap_span(i: int, padding: int, n_in: int, n_out: int, stride: int = 1, start: int = 0):
+    """Output and input ranges along one axis where tap i reads inside the input.
+
+    Of the `n_out` outputs from `start` on, output o (counted from 0) reads
+    input (start + o)*stride + i - padding; outputs whose read falls in the
     zero padding are left out of both ranges.
     """
-    lo = max(0, padding - i)
-    hi = min(n_out, n_in + padding - i)
-    return slice(lo, hi), slice(lo + i - padding, hi + i - padding)
+    first = start * stride + i - padding  # the input output 0 reads
+    lo = min(n_out, max(0, -(first // stride)))
+    hi = max(lo, min(n_out, (n_in - 1 - first) // stride + 1))
+    a = first + lo * stride
+    return slice(lo, hi), slice(a, a + (hi - lo - 1) * stride + 1 if hi > lo else a, stride)
 
 
 def _conv2d_channel_first(x, weight, bias, padding, Hp, Wp) -> Tensor:
@@ -769,6 +902,13 @@ def maxpool2d(x: Tensor, k: int, stride: int) -> Tensor:
     if x.ndim != 4:
         raise ValueError(f"maxpool2d: input must be 4-D [N,C,H,W], got {x.shape}")
     N, C, H, W = x.shape
+    if k < 1 or stride < 1:
+        raise ValueError(f"maxpool2d: window and stride must be >= 1, got {k} and {stride}")
+    if H < k or W < k:
+        raise ValueError(
+            f"maxpool2d: no output pixel for input {H}x{W}, window {k}x{k}, "
+            f"stride {stride}, padding 0: the window is larger than the input"
+        )
     if (H - k) % stride or (W - k) % stride:
         raise ValueError(
             f"maxpool2d: extent {H}x{W} not divisible for window {k}, stride {stride}"

@@ -74,7 +74,7 @@ frees a whole-map buffer any more, importing this module under glibc fixes
 malloc's mmap and trim thresholds (`_pin_malloc_thresholds`).
 
 The resampling kernels read strided views rather than building gather
-buffers. maxpool2d folds np.maximum over its k*k window views, and its
+buffers. maxpool2d takes np.maximum over its k*k window views, and its
 backward re-derives each window's first maximum from x and the output.
 The bilinear x2 upsample builds each axis's even and odd outputs by
 slicing; each output is the same sum of two products as in the
@@ -84,6 +84,24 @@ channel_norm is one tape node with a closed-form backward; its forward
 runs the same numpy calls in the same order as the composite of
 elementwise ops it replaced, so its output is bitwise unchanged. Its
 x and gamma vjps each form the per-channel sum of g * xh as dot products.
+
+Flat spans. The memory-bound kernels run as a few long passes over whole
+arrays, not one short pass per row: the maps are 4 to 64 pixels wide, and
+numpy pays a fixed cost for every row it loops over. The upsample and its
+adjoint lay the lines along an axis end to end and form each shifted sum
+in one pass over a block of whole lines; the 2x2 max pool takes the
+column pairs of a block of rows in one flat pass, then the row pairs.
+Their blocks hold about `_PASS_BLOCK` elements, so the temporaries stay in
+cache between the passes. relu is one np.maximum; channel_norm's forward
+works in two buffers, not five; and a stride-1 im2col whose output rows
+are as wide as its input rows copies each tap as one span per channel
+plane. A shifted pass is wrong only where it crosses the edge of a line
+(a clamped upsample tap, an im2col column wrapped into the next row). The
+rule a new kernel must keep: such an element is overwritten afterwards,
+from its own operands by the same operations in the same order as the
+per-row form, never corrected by arithmetic (taking the wrong term back
+out moves the bits). Every output and gradient is then bitwise the
+per-row form's; tests/test_flat_kernels.py holds each kernel to it.
 """
 
 from __future__ import annotations
@@ -455,7 +473,9 @@ def sigmoid(a: Tensor) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0  # subgradient 0 at 0
-    return _make("relu", np.where(mask, a.data, 0.0), [(a, lambda g: g * mask)])
+    # on a tie np.maximum returns its second operand, so -0.0 gives 0.0 as
+    # np.where(mask, x, 0.0) did; a NaN passes on, and the finite check raises
+    return _make("relu", np.maximum(a.data, 0.0), [(a, lambda g: g * mask)])
 
 
 def tsum(a: Tensor, axes: tuple[int, ...] | None = None, keepdims: bool = False) -> Tensor:
@@ -509,7 +529,7 @@ def concat(tensors: Iterable[Tensor], axis: int) -> Tensor:
 
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
-    if start < 0 or start + length > a.shape[axis]:
+    if start < 0 or length < 0 or start + length > a.shape[axis]:
         raise ValueError(
             f"narrow: [{start}, {start + length}) out of range for axis {axis} "
             f"of extent {a.shape[axis]}"
@@ -740,17 +760,32 @@ def _im2col(x, kh, kw, stride, padding, r0, r1, Wp) -> np.ndarray:
     """[N, C*kh*kw, (r1-r0)*Wp]: the pixels each kernel tap reads for output rows r0:r1.
 
     Each tap copies its in-bounds span straight from x and zeroes only the
-    strips that read padding, so no padded copy of x is made.
+    strips that read padding, so no padded copy of x is made. Where output
+    rows are as wide as input rows (stride 1, Wp == W) and each channel
+    plane of x is contiguous, a tap's rows read one flat span of the plane
+    at a fixed offset, so the span is copied in one piece per plane; the
+    columns it wraps into the next or previous row are then zeroed with the
+    padding strips.
     """
     N, C, H, W = x.shape
     R = r1 - r0
     cols = np.empty((N, C, kh, kw, R, Wp), dtype=np.float64)
+    flat = stride == 1 and Wp == W and x.strides[2:] == (W * x.itemsize, x.itemsize)
+    planes = x.reshape(N, C, H * W) if flat else None  # a view
     for i in range(kh):
         oy, iy = _tap_span(i, padding, H, R, stride, r0)
         for j in range(kw):
             ox, ix = _tap_span(j, padding, W, Wp, stride)
             tap = cols[:, :, i, j]
-            tap[:, :, oy, ox] = x[:, :, iy, ix]
+            if flat:
+                # output pixel q of the rows oy reads plane pixel q + shift;
+                # the few clipped at the plane's ends are wrapped columns
+                shift = (iy.start - oy.start) * W + ix.start - ox.start
+                lo, hi = max(oy.start * W, -shift), min(oy.stop * W, H * W - shift)
+                if lo < hi:
+                    tap.reshape(N, C, R * W)[:, :, lo:hi] = planes[:, :, lo + shift : hi + shift]
+            else:
+                tap[:, :, oy, ox] = x[:, :, iy, ix]
             if oy.start:
                 tap[:, :, : oy.start] = 0.0
             if oy.stop < R:
@@ -824,13 +859,6 @@ def _conv2d_channel_first(x, weight, bias, padding, Hp, Wp) -> Tensor:
     )
 
 
-def _along(a: np.ndarray, axis: int, start, stop, step=None) -> np.ndarray:
-    """The view of `a` that slices `axis` as start:stop:step."""
-    idx = [slice(None)] * a.ndim
-    idx[axis] = slice(start, stop, step)
-    return a[tuple(idx)]
-
-
 def bilinear_upsample_x2(x: Tensor) -> Tensor:
     """Double the trailing two axes by bilinear interpolation.
 
@@ -847,57 +875,101 @@ def bilinear_upsample_x2(x: Tensor) -> Tensor:
 
 
 def _up2(a: np.ndarray, axis: int) -> np.ndarray:
-    """The x2 half-pixel upsample along one axis (extent n -> 2n), by slicing.
+    """The x2 half-pixel upsample along axis -2 or -1 (extent n -> 2n), in flat spans.
 
     Output o samples input coordinate (o + 0.5)/2 - 0.5: output 2k is
     1/4 a[k-1] + 3/4 a[k] and output 2k+1 is 3/4 a[k] + 1/4 a[k+1], with
-    a[-1] clamped to a[0] and a[n] to a[n-1]. The even and the odd outputs
-    each have extent n, so the 3/4 products are written straight into them
-    and the 1/4 products are added in place. Each output is one sum of the
+    a[-1] clamped to a[0] and a[n] to a[n-1]. Each output is one sum of the
     same two products the index-gather formula forms (a two-term IEEE sum
     does not depend on the order of its terms), so the result is bitwise
     that formula's.
+
+    The lines along `axis` are laid end to end, so each shifted sum is one
+    pass over a block of whole lines (`_line_blocks`); where the shift
+    crosses from one line into the next (the clamped taps k = 0 and
+    k = n-1) the output is written again afterwards from the clamped
+    operands.
     """
+    n = a.shape[axis]
     shape = list(a.shape)
     shape[axis] *= 2
-    out = np.empty(shape, dtype=np.float64)
-    even, odd = _along(out, axis, 0, None, 2), _along(out, axis, 1, None, 2)
-    np.multiply(a, 0.75, out=even)
-    np.multiply(a, 0.75, out=odd)
-    quarter = a * 0.25
-    _along(even, axis, 1, None)[...] += _along(quarter, axis, None, -1)  # a[k-1]
-    _along(even, axis, None, 1)[...] += _along(quarter, axis, None, 1)  # a[-1] clamps to a[0]
-    _along(odd, axis, None, -1)[...] += _along(quarter, axis, 1, None)  # a[k+1]
-    _along(odd, axis, -1, None)[...] += _along(quarter, axis, -1, None)  # a[n] clamps to a[n-1]
-    return out
+    if not a.size:
+        return np.empty(shape)
+    unit = a.shape[a.ndim + axis + 1 :]  # (W,) along the rows, () along the columns
+    lines = a.reshape((-1,) + unit)  # line l's element k is lines[l*n + k]; a copy if a is strided
+    out = np.empty((lines.shape[0], 2) + unit, dtype=np.float64)
+    for r0, r1 in _line_blocks(lines, n):
+        even, odd = out[r0:r1, 0], out[r0:r1, 1]
+        block = lines[r0:r1]
+        three, quarter = block * 0.75, block * 0.25
+        np.add(three[1:], quarter[:-1], out=even[1:])  # a[k-1]
+        np.add(three[:-1], quarter[1:], out=odd[:-1])  # a[k+1]
+        np.add(three[::n], quarter[::n], out=even[::n])  # a[-1] clamps to a[0]
+        np.add(three[n - 1 :: n], quarter[n - 1 :: n], out=odd[n - 1 :: n])  # a[n] clamps to a[n-1]
+    return out.reshape(shape)
 
 
 def _up2_adjoint(g: np.ndarray, axis: int) -> np.ndarray:
-    """Transpose of the x2 half-pixel upsample along one axis (extent 2n -> n).
+    """Transpose of the x2 half-pixel upsample along axis -2 or -1 (extent 2n -> n).
 
     Output 2k reads 1/4 x[k-1] + 3/4 x[k] and output 2k+1 reads
     3/4 x[k] + 1/4 x[k+1], so input k collects g[2k-1], g[2k], g[2k+1] and
-    g[2k+2] with weights [1/4, 3/4, 3/4, 1/4]. The forward clamps x[-1]
-    to x[0] and x[n] to x[n-1], so the edge inputs also collect the 1/4
-    share of g[0] and of g[2n-1].
+    g[2k+2] with weights [1/4, 3/4, 3/4, 1/4], summed in that order after
+    the 3/4 pair. The forward clamps x[-1] to x[0] and x[n] to x[n-1], so
+    the edge inputs also collect, last, the 1/4 share of g[0] and of
+    g[2n-1]. As in `_up2` the shifted sums run over blocks of whole lines
+    laid end to end, and the edge inputs are then written again from their
+    own terms.
     """
-    even, odd = _along(g, axis, 0, None, 2), _along(g, axis, 1, None, 2)
-    gx = 0.75 * (even + odd)
-    _along(gx, axis, 1, None)[...] += 0.25 * _along(odd, axis, None, -1)  # g[2k-1]
-    _along(gx, axis, None, -1)[...] += 0.25 * _along(even, axis, 1, None)  # g[2k+2]
-    _along(gx, axis, None, 1)[...] += 0.25 * _along(even, axis, None, 1)  # g[-1] clamps to g[0]
-    _along(gx, axis, -1, None)[...] += 0.25 * _along(odd, axis, -1, None)  # g[2n] clamps to g[2n-1]
-    return gx
+    n = g.shape[axis] // 2
+    shape = list(g.shape)
+    shape[axis] = n
+    if not g.size:
+        return np.empty(shape)
+    unit = g.shape[g.ndim + axis + 1 :]
+    pairs = g.reshape((-1, 2) + unit)  # [L*n, 2, *unit], as in _up2
+    gx = np.empty((pairs.shape[0],) + unit, dtype=np.float64)
+    for r0, r1 in _line_blocks(gx, n):
+        even, odd, dst = pairs[r0:r1, 0], pairs[r0:r1, 1], gx[r0:r1]
+        np.add(even, odd, out=dst)
+        dst *= 0.75
+        quarter = odd * 0.25
+        if n == 1:  # every input is both edges: 3/4 (g[0] + g[1]) + g[0]/4 + g[1]/4
+            dst += even * 0.25
+            dst += quarter
+            continue
+        dst[1:] += quarter[:-1]  # g[2k-1]
+        np.multiply(even, 0.25, out=quarter)
+        dst[:-1] += quarter[1:]  # g[2k+2]
+        first, last = slice(None, None, n), slice(n - 1, None, n)
+        dst[first] = (even[first] + odd[first]) * 0.75 + quarter[1::n] + quarter[first]
+        dst[last] = (even[last] + odd[last]) * 0.75 + odd[n - 2 :: n] * 0.25 + odd[last] * 0.25
+    return gx.reshape(shape)
+
+
+#: Input elements per block of the flat-pass resampling kernels: a block's
+#: temporaries stay in a core's cache between the passes over it, and the
+#: calls a block costs are few against its passes. A block is made of whole
+#: lines (whole row pairs in the max pool); the last one takes the remainder.
+_PASS_BLOCK = 1 << 15
+
+
+def _line_blocks(lines: np.ndarray, n: int):
+    """The [start, stop) blocks of `lines` ([L*n, ...]) of whole lines, `_PASS_BLOCK` elements or so."""
+    per_line = lines.size // len(lines) * n
+    return _blocks(len(lines), n * max(1, _PASS_BLOCK // per_line))
 
 
 def maxpool2d(x: Tensor, k: int, stride: int) -> Tensor:
     """Per-window maximum over the trailing two axes of an NCHW tensor.
 
     The forward folds np.maximum over the k*k strided window views, so it
-    allocates nothing larger than its output. Backward routes the whole
-    gradient to the window argmax: it re-derives, from x and the output,
-    the first element in row-major window order that equals the maximum,
-    so ties go to that element and backward is deterministic.
+    allocates nothing larger than its output; a 2x2, stride-2 pool of a
+    contiguous input runs in flat passes (`_maxpool_2x2`), with buffers
+    below half its output. Backward routes the whole gradient to the window
+    argmax: it re-derives, from x and the output, the first element in
+    row-major window order that equals the maximum, so ties go to that
+    element and backward is deterministic.
     """
     if x.ndim != 4:
         raise ValueError(f"maxpool2d: input must be 4-D [N,C,H,W], got {x.shape}")
@@ -921,11 +993,14 @@ def maxpool2d(x: Tensor, k: int, stride: int) -> Tensor:
         return a[:, :, i : i + stride * Hp : stride, j : j + stride * Wp : stride]
 
     xd = x.data
-    out = window(xd, 0, 0).copy()
-    for i, j in taps[1:]:
-        # on a tie np.maximum returns its second operand, so the earlier
-        # tap's value is kept (its sign too, for a -0.0/0.0 tie)
-        np.maximum(window(xd, i, j), out, out=out)
+    # on a tie np.maximum returns its second operand, so the earlier tap's
+    # value is kept (its sign too, for a -0.0/0.0 tie)
+    if k == stride == 2 and xd.flags.c_contiguous and xd.size:
+        out = _maxpool_2x2(xd)
+    else:
+        out = window(xd, 0, 0).copy()
+        for i, j in taps[1:]:
+            np.maximum(window(xd, i, j), out, out=out)
 
     def vjp(g):
         gx = np.zeros(xd.shape)
@@ -939,6 +1014,29 @@ def maxpool2d(x: Tensor, k: int, stride: int) -> Tensor:
         return gx
 
     return _make("maxpool2d", out, [(x, vjp)])
+
+
+def _maxpool_2x2(x: np.ndarray) -> np.ndarray:
+    """The 2x2, stride-2 max pool of a C-contiguous [N, C, H, W] array, block by block.
+
+    In each block of row pairs, np.maximum takes the column pairs as one
+    flat pass (the left tap wins a tie), then the row pairs (the top pair
+    wins a tie), so a tie goes to the first tap in row-major window order,
+    as in the fold. A block is `_PASS_BLOCK` input elements but at most an
+    eighth of the input, so its column-pair buffer, and the buffers numpy
+    takes for the strided row-pair pass, stay below half the output.
+    """
+    N, C, H, W = x.shape
+    out = np.empty((N, C, H // 2, W // 2), dtype=np.float64)
+    pairs, flat = x.reshape(-1, 2, W), out.reshape(-1, W // 2)  # views
+    step = len(pairs)
+    if x.size > _PASS_BLOCK:
+        step = max(1, min(_PASS_BLOCK, x.size // 8) // (2 * W))
+    for r0, r1 in _blocks(len(pairs), step):
+        block = pairs[r0:r1]
+        cols = np.maximum(block[..., 1::2], block[..., 0::2])  # [rows, 2, W/2]
+        np.maximum(cols[:, 1], cols[:, 0], out=flat[r0:r1])
+    return out
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
@@ -986,15 +1084,17 @@ def channel_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     inv = 1.0 / (N * H * W)
     # the same numpy calls, in the same order, as the taped composite
     # (tmean, sub, mul, tmean, add_scalar, sqrt, div, mul, add) it replaces,
-    # so the forward is bitwise what it was
+    # so the forward is bitwise what it was; it works in two buffers, d
+    # (which becomes xh) and d * d (which becomes the output)
     mu = x.data.sum(axis=axes, keepdims=True) * inv
-    d = x.data - mu
-    var = (d * d).sum(axis=axes, keepdims=True) * inv
+    xh = x.data - mu
+    out = xh * xh
+    var = out.sum(axis=axes, keepdims=True) * inv
     den = np.sqrt(var + NORM_EPS)
-    xh = d / den
-    del d
+    xh /= den
     g4 = gamma.data.reshape(1, C, 1, 1)
-    out = xh * g4 + beta.data.reshape(1, C, 1, 1)
+    np.multiply(xh, g4, out=out)
+    out += beta.data.reshape(1, C, 1, 1)
 
     # Neither vjp reads x: its data is not kept.
     def vjp_x(g):

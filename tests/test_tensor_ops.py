@@ -1,5 +1,6 @@
 """Forward semantics of the tensor core against independent oracles."""
 
+import re
 import threading
 import tracemalloc
 import types
@@ -544,6 +545,18 @@ class TestElementwise:
     def test_relu(self):
         out = relu(Tensor([-1.0, 0.0, 2.0])).data
         assert np.array_equal(out, [0.0, 0.0, 2.0])
+
+    def test_relu_nan_surfaces(self):
+        # a NaN input used to come out as 0.0
+        with pytest.raises(NonFiniteError, match="relu"):
+            relu(Tensor([np.nan, -1.0]))
+
+    @pytest.mark.parametrize("start,length", [(2, -1), (0, -4), (-1, 2), (3, 2)])
+    def test_narrow_out_of_range_rejected(self, start, length):
+        # a negative length used to give an empty view
+        want = re.escape(f"[{start}, {start + length}) out of range")
+        with pytest.raises(ValueError, match=want):
+            narrow(Tensor(np.zeros((3, 4))), 1, start, length)
 
     def test_concat_shapes(self):
         a = Tensor(np.zeros((1, 2, 4, 4)))

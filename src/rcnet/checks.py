@@ -108,7 +108,8 @@ def _rand_pyramid(cfg: NeckConfig, label_format: str) -> FeaturePyramid:
 def _reach(forward, inputs: FeaturePyramid, bumped, at=(0, 0, 0, 0)) -> dict:
     """{(j, i): max |change| of output level i} when input level j is bumped
     by 1 at index `at`, for each j in `bumped`: one base forward plus one
-    forward per bumped level."""
+    forward per bumped level. Each bumped output is reduced to its
+    per-level maxima and dropped before the next forward runs."""
     base = forward(inputs)
     reach = {}
     for j in bumped:
@@ -117,6 +118,7 @@ def _reach(forward, inputs: FeaturePyramid, bumped, at=(0, 0, 0, 0)) -> dict:
         moved = forward(inputs.with_level(j, Tensor(data)))
         for i in base.levels:
             reach[j, i] = float(np.max(np.abs(base[i].data - moved[i].data)))
+        del moved
     return reach
 
 
@@ -462,13 +464,15 @@ def check_softmax_simplex(cfg: NeckConfig) -> CheckResult:
 
 
 def check_determinism_forward(cfg: NeckConfig) -> CheckResult:
-    """Two identically-seeded full forwards produce identical digests."""
+    """Two identically-seeded full forwards produce identical digests; the
+    first build's stores and inputs are dropped before the second starts."""
     digests = []
     for _ in range(2):
         rp = revfp_params(cfg)
         cp = csn_params(cfg)
         C = prepare_inputs(cfg, rp)
         digests.append(pyramid_digest(rcnet_forward(C, cfg, rp, cp)))
+        del rp, cp, C
     ok = digests[0] == digests[1]
     return CheckResult("determinism_forward", ok, digests[0][:16], "equal digests")
 

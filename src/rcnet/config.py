@@ -7,6 +7,7 @@ reads, so a config round-trips without renaming.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import asdict, dataclass
 
 #: ResNet-style stage widths for levels 2..5; desk configs divide these down.
@@ -14,6 +15,14 @@ FULL_STAGE_CHANNELS = {2: 256, 3: 512, 4: 1024, 5: 2048}
 
 #: Offsets exchanged by the scale-shift (window of five, offset 0 untouched).
 SHIFT_OFFSETS = (-2, -1, 1, 2)
+
+#: NeckConfig fields that hold one int, and those that hold a tuple of ints.
+_INTS = ("l_min", "l_max", "d", "r", "k", "batch", "seed")
+_INT_TUPLES = ("backbone_channels", "base_resolution")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -29,55 +38,88 @@ class NeckConfig:
     seed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "backbone_channels", tuple(self.backbone_channels))
-        object.__setattr__(self, "base_resolution", tuple(self.base_resolution))
+        for name in _INT_TUPLES:
+            if isinstance(getattr(self, name), list):
+                object.__setattr__(self, name, tuple(getattr(self, name)))
         problems = self.violations()
         if problems:
             raise ValueError("invalid NeckConfig: " + "; ".join(problems))
 
     def violations(self) -> list[str]:
+        """Every problem with this config, each naming its field.
+
+        Types come first: a field that is not an int (bools excluded), or
+        not a tuple of such ints, is named once and takes no part in any
+        check after that, nor does a value whose own range check failed.
+        """
         out = []
-        if not self.l_min < self.l_max:
-            out.append(f"l_min={self.l_min} must be < l_max={self.l_max}")
-        n = self.l_max - self.l_min + 1
-        if n < 5:
-            out.append(f"need at least 5 levels for the shift window, got {n}")
-        if self.l_max not in (6, 7):
-            out.append(f"l_max must be 6 or 7 (stem extends from level 5), got {self.l_max}")
-        if self.d <= 0:
+        bad = set()
+        for name in _INTS:
+            if not _is_int(getattr(self, name)):
+                out.append(f"{name}={getattr(self, name)!r} must be an integer")
+                bad.add(name)
+        for name in _INT_TUPLES:
+            value = getattr(self, name)
+            if not (isinstance(value, tuple) and all(_is_int(v) for v in value)):
+                out.append(f"{name}={value!r} must be a list of integers")
+                bad.add(name)
+
+        def usable(*names):
+            return bad.isdisjoint(names)
+
+        if usable("l_min", "l_max"):
+            if self.l_min < 0:
+                out.append(f"l_min={self.l_min} must be >= 0 (level l has stride 2^l)")
+                bad.add("l_min")
+            if not self.l_min < self.l_max:
+                out.append(f"l_min={self.l_min} must be < l_max={self.l_max}")
+                bad.update(("l_min", "l_max"))
+            n = self.l_max - self.l_min + 1
+            if n < 5:
+                out.append(f"need at least 5 levels for the shift window, got {n}")
+            if self.l_max not in (6, 7):
+                out.append(f"l_max must be 6 or 7 (stem extends from level 5), got {self.l_max}")
+                bad.add("l_max")
+        if usable("d") and self.d <= 0:
             out.append(f"d={self.d} must be positive")
-        if self.r <= 0:
+            bad.add("d")
+        if usable("r") and self.r <= 0:
             out.append(f"r={self.r} must be positive")
-        if self.d % (4 * self.r):
+            bad.add("r")
+        if usable("d", "r") and self.d % (4 * self.r):
             out.append(f"d={self.d} must be divisible by 4*r={4 * self.r}")
-        to_five = min(5, self.l_max) - self.l_min + 1
-        if len(self.backbone_channels) not in (to_five, self.num_levels):
-            out.append(
-                f"backbone_channels has {len(self.backbone_channels)} entries; "
-                f"need {to_five} (stages to level 5, stem above) or "
-                f"{self.num_levels} (every level from the backbone)"
-            )
-        if any(c <= 0 for c in self.backbone_channels):
-            out.append("backbone_channels must be positive")
-        if not (self.l_min <= self.k <= self.l_max):
+        if usable("backbone_channels"):
+            if usable("l_min", "l_max"):
+                to_five = min(5, self.l_max) - self.l_min + 1
+                if len(self.backbone_channels) not in (to_five, self.num_levels):
+                    out.append(
+                        f"backbone_channels has {len(self.backbone_channels)} entries; "
+                        f"need {to_five} (stages to level 5, stem above) or "
+                        f"{self.num_levels} (every level from the backbone)"
+                    )
+            if any(c <= 0 for c in self.backbone_channels):
+                out.append("backbone_channels must be positive")
+        if usable("k", "l_min", "l_max") and not (self.l_min <= self.k <= self.l_max):
             out.append(f"reference level k={self.k} outside [{self.l_min}, {self.l_max}]")
-        if self.batch < 1:
+        if usable("batch") and self.batch < 1:
             out.append(f"batch={self.batch} must be >= 1")
-        if len(self.base_resolution) != 2 or min(self.base_resolution) < 1:
-            out.append(f"base_resolution {self.base_resolution} must be two positive extents")
-        else:
-            div = 2 ** (self.l_max - self.l_min)
-            for ext in self.base_resolution:
-                if ext % div:
-                    out.append(f"base extent {ext} not divisible by 2^(l_max-l_min)={div}")
-            # the top level is the smallest map any channel_norm sees
-            h, w = self.resolution(self.l_max)
-            if self.batch >= 1 and self.batch * h * w < 2:
-                out.append(
-                    f"top level {self.l_max} is {h}x{w} at batch {self.batch}; "
-                    "channel_norm needs batch*h*w >= 2 values per channel"
-                )
-        if not (0 <= self.seed < 2**64):
+            bad.add("batch")
+        if usable("base_resolution"):
+            if len(self.base_resolution) != 2 or min(self.base_resolution) < 1:
+                out.append(f"base_resolution {self.base_resolution} must be two positive extents")
+            elif usable("l_min", "l_max"):
+                div = 2 ** (self.l_max - self.l_min)
+                for ext in self.base_resolution:
+                    if ext % div:
+                        out.append(f"base extent {ext} not divisible by 2^(l_max-l_min)={div}")
+                # the top level is the smallest map any channel_norm sees
+                h, w = self.resolution(self.l_max)
+                if usable("batch") and self.batch * h * w < 2:
+                    out.append(
+                        f"top level {self.l_max} is {h}x{w} at batch {self.batch}; "
+                        "channel_norm needs batch*h*w >= 2 values per channel"
+                    )
+        if usable("seed") and not (0 <= self.seed < 2**64):
             out.append(f"seed={self.seed} outside the unsigned 64-bit range")
         return out
 

@@ -11,6 +11,12 @@ context, and the result is resized back and added to the input pyramid.
 
 The shift block is `cfg.shift_block`, d / (4r) channels; `NeckConfig`
 checks that 4r divides d. The stack's own shape gives everything else.
+
+A forward binds no activation past its last read. One name carries the
+stack through gather, shift, aggregate and context, and each reweighted
+stack goes straight into its pool, so a stack-sized map is freed as soon
+as the next stage has read it. A tape still keeps exactly what backward
+reads.
 """
 
 from __future__ import annotations
@@ -124,7 +130,8 @@ def shift_aggregate(shifted: Tensor, params: ParamStore, d: int) -> Tensor:
     with counting.scope("aggregate/reduce"):
         x = conv2d(x, params["aggregate/reduce/weight"], params["aggregate/reduce/bias"])
     with counting.scope("aggregate/norm"):
-        x = relu(channel_norm(x, params["aggregate/norm/gamma"], params["aggregate/norm/beta"]))
+        x = channel_norm(x, params["aggregate/norm/gamma"], params["aggregate/norm/beta"])
+        x = relu(x)
     with counting.scope("aggregate/project"):
         x = conv2d(x, params["aggregate/project/weight"], params["aggregate/project/bias"])
     return add(original, reshape(x, (n_, d, s, h, w)))
@@ -141,36 +148,34 @@ def dual_global_context(Y: Tensor, params: ParamStore) -> Tensor:
     n_, d, s, h, w = Y.shape
 
     # scale branch: spatial pooling, channel context, softmax over scales
-    u = global_avg_pool(Y)  # [N, d, n, 1, 1]
+    x = global_avg_pool(Y)  # [N, d, n, 1, 1]
     with counting.scope("context/scale/mid"):
-        v = conv2d(
-            reshape(u, (n_, d, s, 1)),
+        x = conv2d(
+            reshape(x, (n_, d, s, 1)),
             params["context/scale/mid/weight"],
             params["context/scale/mid/bias"],
         )
-    a = scale(softmax(v, (2,)), float(s))
-    counting.probe("scale_weights", a)
-    y1 = mul(Y, reshape(a, (n_, d, s, 1, 1)))
-    z = tmean(y1, (2,))  # [N, d, h, w]
+    x = scale(softmax(x, (2,)), float(s))
+    counting.probe("scale_weights", x)
+    x = tmean(mul(Y, reshape(x, (n_, d, s, 1, 1))), (2,))  # [N, d, h, w]
     with counting.scope("context/scale/out"):
-        o1 = conv2d(z, params["context/scale/out/weight"], params["context/scale/out/bias"])
-    out1 = reshape(o1, (n_, d, 1, h, w))
+        x = conv2d(x, params["context/scale/out/weight"], params["context/scale/out/bias"])
+    out1 = reshape(x, (n_, d, 1, h, w))
 
     # spatial branch: scale pooling, channel context, softmax over positions
-    m = tmean(Y, (2,))  # [N, d, h, w]
+    x = tmean(Y, (2,))  # [N, d, h, w]
     with counting.scope("context/spatial/mid"):
-        v2 = conv2d(m, params["context/spatial/mid/weight"], params["context/spatial/mid/bias"])
-    a2 = scale(softmax(v2, (2, 3)), float(h * w))
-    counting.probe("spatial_weights", a2)
-    y2 = mul(Y, reshape(a2, (n_, d, 1, h, w)))
-    z2 = global_avg_pool(y2)  # [N, d, n, 1, 1]
+        x = conv2d(x, params["context/spatial/mid/weight"], params["context/spatial/mid/bias"])
+    x = scale(softmax(x, (2, 3)), float(h * w))
+    counting.probe("spatial_weights", x)
+    x = global_avg_pool(mul(Y, reshape(x, (n_, d, 1, h, w))))  # [N, d, n, 1, 1]
     with counting.scope("context/spatial/out"):
-        o2 = conv2d(
-            reshape(z2, (n_, d, s, 1)),
+        x = conv2d(
+            reshape(x, (n_, d, s, 1)),
             params["context/spatial/out/weight"],
             params["context/spatial/out/bias"],
         )
-    out2 = reshape(o2, (n_, d, s, 1, 1))
+    out2 = reshape(x, (n_, d, s, 1, 1))
 
     return add(add(Y, out1), out2)
 
@@ -197,13 +202,13 @@ def csn_forward(P: FeaturePyramid, cfg: NeckConfig, params: ParamStore) -> Featu
         if i not in P:
             raise ValueError(f"csn_forward: input pyramid is missing level {i}")
     with counting.scope("gather"):
-        S = gather_to_reference(P, cfg.k)
+        x = gather_to_reference(P, cfg.k)
     with counting.scope("scale_shift"):
-        shifted = scale_shift(S, cfg.shift_block)
-    Y = shift_aggregate(shifted, params, cfg.d)
-    Yc = dual_global_context(Y, params)
+        x = scale_shift(x, cfg.shift_block)
+    x = shift_aggregate(x, params, cfg.d)
+    x = dual_global_context(x, params)
     with counting.scope("scatter"):
-        return scatter_and_combine(Yc, P, cfg.k)
+        return scatter_and_combine(x, P, cfg.k)
 
 
 def rcnet_forward(

@@ -10,6 +10,12 @@ per-sample scalar weight:
 
 with the boundary rules P'_top = lateral(C_top) (no pre-fusion above the
 pyramid) and P_bottom = P'_bottom (nothing below to merge).
+
+A forward binds no activation past its last read. One name carries each
+level from its guided map through both fusions to its output, a blend is
+freed once the fusion conv has read it, and each lateral map is released
+after its own level's pre-fusion, the last step to read it. A tape still
+keeps exactly what backward reads.
 """
 
 from __future__ import annotations
@@ -117,14 +123,14 @@ def feature_guided_upsample(c_fine: Tensor, c_coarse: Tensor, site: FguSite) -> 
             f"feature_guided_upsample: coarse shape {c_coarse.shape} is not half of {c_fine.shape}"
         )
     up = bilinear_upsample_x2(c_coarse)
-    logits = add(
+    x = add(
         conv2d(c_fine, narrow(site.weight, 1, 0, d), site.bias, padding=1),
         conv2d(up, narrow(site.weight, 1, d, d), _ZERO_BIAS, padding=1),
     )
-    scaled = mul(logits, scale(site.temperature, d**-0.5))
-    weights = scale(softmax(scaled, (2, 3)), float(h * w))
-    counting.probe("weights", weights)
-    return mul(up, weights)
+    x = mul(x, scale(site.temperature, d**-0.5))
+    x = scale(softmax(x, (2, 3)), float(h * w))
+    counting.probe("weights", x)
+    return mul(up, x)
 
 
 def dynamic_weight(a: Tensor, b: Tensor, head_weight: Tensor, head_bias: Tensor) -> Tensor:
@@ -144,13 +150,13 @@ def fuse(current: Tensor, other: Tensor, site: FusionSite) -> Tensor:
     """norm(conv(w*current + (1-w)*other)), w from the gate, which rejects unequal shapes."""
     with counting.scope("head"):
         w = dynamic_weight(current, other, site.head_weight, site.head_bias)
-    blend = add(mul(w, current), mul(sub(Tensor(1.0), w), other))
-    counting.probe("blend", blend)
+    x = add(mul(w, current), mul(sub(Tensor(1.0), w), other))
+    counting.probe("blend", x)
     counting.probe("operands", (current, other))
     with counting.scope("conv"):
-        out = conv2d(blend, site.conv_weight, site.conv_bias, padding=1)
+        x = conv2d(x, site.conv_weight, site.conv_bias, padding=1)
     with counting.scope("norm"):
-        return channel_norm(out, site.gamma, site.beta)
+        return channel_norm(x, site.gamma, site.beta)
 
 
 def revfp_forward(C: FeaturePyramid, params: ParamStore, cfg: NeckConfig) -> FeaturePyramid:
@@ -166,20 +172,20 @@ def revfp_forward(C: FeaturePyramid, params: ParamStore, cfg: NeckConfig) -> Fea
                 C[i], params[f"lateral/{i}/weight"], params[f"lateral/{i}/bias"]
             )
 
+    # lateral[i] leaves the dict at its last read, at level i
     out: dict = {}
     for i in cfg.levels():
         if i < cfg.l_max:
             with counting.scope(f"fgu/{i}"):
-                guided = feature_guided_upsample(lateral[i], lateral[i + 1], fgu_site(params, i))
+                x = feature_guided_upsample(lateral[i], lateral[i + 1], fgu_site(params, i))
             with counting.scope(f"pre/{i}"):
-                p_prime = fuse(lateral[i], guided, fusion_site(params, f"pre/{i}"))
+                x = fuse(lateral.pop(i), x, fusion_site(params, f"pre/{i}"))
         else:
-            p_prime = lateral[i]  # top boundary: nothing above to pre-fuse
-        counting.probe(f"p_prime/{i}", p_prime)
-        if i == cfg.l_min:
-            out[i] = p_prime  # bottom boundary: nothing below to post-fuse
-        else:
+            x = lateral.pop(i)  # top boundary: nothing above to pre-fuse
+        counting.probe(f"p_prime/{i}", x)
+        if i > cfg.l_min:  # the bottom boundary has nothing below to post-fuse
             with counting.scope(f"post/{i}"):
                 site = fusion_site(params, f"post/{i}")
-                out[i] = fuse(p_prime, maxpool2d(out[i - 1], 2, 2), site)
+                x = fuse(x, maxpool2d(out[i - 1], 2, 2), site)
+        out[i] = x
     return FeaturePyramid(out)

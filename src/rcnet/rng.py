@@ -34,6 +34,13 @@ took for both halves; over 32768-word blocks they took 0.76x of it, and a
 draw of 1M-4.7M normals ran 1.8-1.9x faster on two CPUs than on one,
 against 1.3x with the shorter blocks. A thread's four scratch rows then
 take 1 MiB, inside the VM's 2 MiB L2 per core.
+
+That speed-up holds only while the second CPU is idle. After each
+threaded OpenBLAS GEMM the BLAS worker spins for about 135 ms of CPU,
+and a 262144-item draw started then ran at 36-45 ns a normal, against
+25-28 ns cold and 40-44 ns on one thread: no gain, but no loss either.
+A 65536-item draw on a persistent second thread was slower even cold
+(67 against 55 ns a normal). So `_THREAD_MIN` stays at two blocks.
 """
 
 from __future__ import annotations

@@ -1,0 +1,69 @@
+"""Peak Python-heap bytes of one desk-width call, seed 7.
+
+A forward binds no activation past its last read, so its peak is the
+widest moment of the pass, not the sum of every stage it has run. Each
+bound sits between the peak measured on the current code and the one
+measured before the neck forwards and their checks dropped their dead
+activations, so a stage that holds a stack-sized map again fails here.
+
+`tracemalloc` counts every numpy buffer and repeats exactly run to run.
+Parameters and inputs are built before tracing starts, except where the
+call builds its own (the invariant checks).
+
+`fpn_forward` (9.2 MiB) and `revfp_forward` (13.2 MiB) carry no bound:
+each peaks inside its bottom level's 3x3 conv, where every live map is
+either read later or held by a call still in progress, so neither moved.
+"""
+
+import tracemalloc
+
+import pytest
+
+from rcnet import csn, fixtures, revfp
+from rcnet.checks import run_invariants
+from rcnet.config import desk_config
+
+MiB = 2**20
+
+
+@pytest.fixture(scope="module")
+def desk():
+    cfg = desk_config(seed=7)
+    rp, cp = revfp.revfp_params(cfg), csn.csn_params(cfg)
+    return cfg, rp, cp, fixtures.prepare_inputs(cfg, rp)
+
+
+def _peak_mib(fn) -> float:
+    """Largest growth of traced memory over its level at the call, in MiB."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - before) / MiB
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def test_rcnet_forward_peak(desk):
+    # 23.6 MiB while every stage of the CSN stack stayed bound; 13.6 now
+    cfg, rp, cp, C = desk
+    assert _peak_mib(lambda: csn.rcnet_forward(C, cfg, rp, cp)) < 16.0
+
+
+@pytest.mark.parametrize(
+    "check, bound",
+    [
+        # 27.8 MiB with the full forward's dead stacks; 17.8 now
+        ("determinism_forward", 21.0),
+        # 22.7 MiB with two bumped pyramids held at once; 20.3 now
+        ("revfp_bidirectional", 21.5),
+    ],
+)
+def test_invariant_check_peak(check, bound):
+    cfg = desk_config(seed=7)
+    peak = _peak_mib(lambda: run_invariants(cfg, [check]))
+    assert peak < bound, f"{check}: {peak:.2f} MiB"

@@ -166,6 +166,27 @@ def test_config_the_forward_cannot_run_is_a_usage_error(tmp_path, capsys):
         assert not (tmp_path / "r.json").exists(), argv
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("r", 0), ("seed", 7.5), ("d", 64.0), ("batch", True), ("base_resolution", [64.0, 64])],
+)
+def test_config_field_of_the_wrong_type_is_a_usage_error(field, value, tmp_path, capsys):
+    # r = 0 once divided by zero; a float or bool passed validation and then
+    # crashed later or ran as batch 1. Each is a usage error naming its field
+    raw = json.loads(DESK_JSON.read_text(encoding="utf-8"))
+    raw[field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as err:
+        main(["invariants", "--config", str(path), "--checks", "softmax_simplex", "--out", str(out)])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert "usage" in captured.err
+    assert re.search(rf"[:;] {field}=[^;]* must be", captured.err), captured.err
+    assert not out.exists()
+
+
 def test_bad_fixtures_container_raises_the_loader_error(mini_cfg_file, tmp_path):
     bad = tmp_path / "bad.fpz"
     bad.write_bytes(b"XXXX")

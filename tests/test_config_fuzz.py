@@ -3,10 +3,13 @@
 Each field is drawn from a small range that also holds values the
 forwards cannot run (a width not divisible by 4r, a reference level out of
 range, a 1x1 top level at batch 1, ...). An accepted config must pass all
-invariants; a rejected one must name each of its problems.
+invariants; a rejected one must name each of its problems. A second set
+of draws gives one field a value of the wrong type, or r = 0; each must be
+rejected with that field named.
 """
 
 import random
+import re
 
 import pytest
 
@@ -57,7 +60,22 @@ def _expected_problems(raw: dict) -> list[str]:
     return out
 
 
+def _mistyped_config(rng: random.Random) -> tuple[dict, str]:
+    """A drawn config with one field of the wrong type (a float, a bool, a
+    string, an int in place of a list), or r = 0; and that field's name."""
+    raw = _raw_config(rng)
+    field = rng.choice(sorted(raw))
+    value = raw[field]
+    if isinstance(value, tuple):
+        choices = [value[:-1] + (float(value[-1]),), value[0], (True,) + value[1:]]
+    else:
+        choices = [float(value), True, str(value)] + ([0] if field == "r" else [])
+    raw[field] = rng.choice(choices)
+    return raw, field
+
+
 CASES = [_raw_config(random.Random(FUZZ_SEED * 1000 + i)) for i in range(FUZZ_COUNT)]
+MISTYPED = [_mistyped_config(random.Random(FUZZ_SEED * 1000 + FUZZ_COUNT + i)) for i in range(12)]
 
 
 def test_fuzz_covers_both_outcomes():
@@ -82,3 +100,12 @@ def test_accepted_configs_pass_every_invariant(raw):
     assert len(results) == len(INVARIANT_CHECKS) == 20
     failed = {r.name: r.measured for r in results if not r.passed}
     assert not failed, f"{cfg.to_dict()}: {failed}"
+
+
+@pytest.mark.parametrize("raw, field", MISTYPED, ids=[f"{i}-{f}" for i, (_, f) in enumerate(MISTYPED)])
+def test_mistyped_fields_are_named(raw, field):
+    # the type is checked before any arithmetic, so the field is named
+    # instead of a TypeError or ZeroDivisionError escaping later
+    with pytest.raises(ValueError) as err:
+        NeckConfig(**raw)
+    assert re.search(rf"[:;] {field}=[^;]* must be", str(err.value)), str(err.value)

@@ -166,42 +166,70 @@ def check_fgu_mean_weight(cfg: NeckConfig, trials: int = 10) -> CheckResult:
     return CheckResult("fgu_mean_weight", worst <= 1e-12, worst, 1e-12)
 
 
-def _revfp_probes(cfg: NeckConfig, seed_label: str = "convexity"):
+def _revfp_probes(cfg: NeckConfig, on_probe, seed_label: str = "convexity"):
+    """One revfp forward with every probe handed to `on_probe(key, value)`."""
     store = revfp_params(cfg)
     data_cfg = cfg.replace(seed=fold_seed(cfg.seed, seed_label) % 2**64)
     C = prepare_inputs(data_cfg, store)
-    with counting.probes() as seen:
+    with counting.probes(on_probe):
         out = revfp_forward(C, store, cfg)
-    return C, store, seen, out
+    return C, store, out
+
+
+def _envelope_excess(blend: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    """Largest relative step of `blend` outside [min(a, b), max(a, b)], at
+    least 0, reduced one channel at a time so no full-size temporary forms."""
+    worst = 0.0
+    for c in range(blend.shape[1]):
+        x, a_c, b_c = blend[:, c], a[:, c], b[:, c]
+        lo, hi = np.minimum(a_c, b_c), np.maximum(a_c, b_c)
+        over = np.max((x - hi) / np.maximum(1.0, np.abs(hi)))
+        under = np.max((lo - x) / np.maximum(1.0, np.abs(lo)))
+        worst = max(worst, float(over), float(under))
+    return worst
 
 
 def check_fusion_convexity(cfg: NeckConfig) -> CheckResult:
-    """Pre-conv blends stay inside the elementwise envelope of their operands."""
-    _, _, seen, _ = _revfp_probes(cfg)
+    """Pre-conv blends stay inside the elementwise envelope of their operands.
+
+    Each site's "blend" probe fires just before its "operands" probe, and
+    the site is reduced as its operands arrive, so no blend or operand
+    pair outlives its fusion.
+    """
+    blends: dict = {}
     worst = 0.0
-    for key, operands in seen.items():  # one "{pre,post}/{i}/operands" key per fusion site
-        if not key.endswith("/operands"):
-            continue
-        blend = seen[key.removesuffix("operands") + "blend"].data
-        a, b = (t.data for t in operands)
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        over = np.max((blend - hi) / np.maximum(1.0, np.abs(hi)))
-        under = np.max((lo - blend) / np.maximum(1.0, np.abs(lo)))
-        worst = max(worst, float(over), float(under), 0.0)
+
+    def reduce_site(key: str, value):
+        nonlocal worst
+        if key.endswith("/blend"):  # one "{pre,post}/{i}/blend" key per fusion site
+            blends[key.removesuffix("blend")] = value
+        elif key.endswith("/operands"):
+            a, b = (t.data for t in value)
+            blend = blends.pop(key.removesuffix("operands")).data
+            worst = max(worst, _envelope_excess(blend, a, b))
+
+    _revfp_probes(cfg, reduce_site)
     return CheckResult("fusion_convexity", worst <= 1e-12, worst, 1e-12)
 
 
 def check_boundary_rules(cfg: NeckConfig) -> CheckResult:
     """Bottom output equals its pre-fusion map; top pre-fusion map equals
     the lateral projection of the top input. Both bitwise."""
-    C, store, seen, out = _revfp_probes(cfg, "boundary")
-    bottom_ok = np.array_equal(out[cfg.l_min].data, seen[f"p_prime/{cfg.l_min}"].data)
+    bottom, top = f"p_prime/{cfg.l_min}", f"p_prime/{cfg.l_max}"
+    kept: dict = {}
+
+    def keep(key: str, value):
+        if key in (bottom, top):
+            kept[key] = value
+
+    C, store, out = _revfp_probes(cfg, keep, "boundary")
+    bottom_ok = np.array_equal(out[cfg.l_min].data, kept[bottom].data)
     lat = conv2d(
         C[cfg.l_max],
         store[f"lateral/{cfg.l_max}/weight"],
         store[f"lateral/{cfg.l_max}/bias"],
     )
-    top_ok = np.array_equal(seen[f"p_prime/{cfg.l_max}"].data, lat.data)
+    top_ok = np.array_equal(kept[top].data, lat.data)
     ok = bottom_ok and top_ok
     return CheckResult(
         "boundary_rules", ok, f"bottom={bottom_ok} top={top_ok}", "bitwise equality"
@@ -368,7 +396,7 @@ def check_aggregate_identity_init(cfg: NeckConfig) -> CheckResult:
     store = csn_params(cfg)
     hk, wk = cfg.resolution(cfg.k)
     S = _rand(cfg, "agg_init/stack", (cfg.batch, cfg.d, cfg.num_levels, hk, wk))
-    out = shift_aggregate(scale_shift(S, cfg.shift_block), store, cfg.d)
+    out = shift_aggregate(S, store, cfg.shift_block)
     ok = np.array_equal(out.data, S.data)
     return CheckResult("aggregate_identity_init", ok, float(np.max(np.abs(out.data - S.data))), 0.0)
 

@@ -4,10 +4,12 @@ Every subcommand reads a JSON config (defaulting to the built-in desk
 config), runs, and emits a single JSON report. The exit code is 0 exactly
 when every enabled check in the report passed and 1 when one failed. It
 is 2 for a usage error. A bad flag or value, a config file that cannot
-be read or holds no valid config, a `--fixtures` path that cannot be
-opened, and a seed outside the unsigned 64-bit range end with a usage
-message and no report. A `--fixtures` file that opens but holds no valid
-FPZ1 container raises the loader's `ContainerError` or `PyramidError`.
+be read or holds no valid config, an `--out` or `--fixtures` path that
+cannot be opened, and a seed outside the unsigned 64-bit range end with
+a usage message and no report. `--out` is opened, and truncated, after
+the config loads and before any work runs. A `--fixtures` file that
+opens but holds no valid FPZ1 container raises the loader's
+`ContainerError` or `PyramidError`.
 An unknown or empty `--checks` selection writes a report with no checks
 and an `error` field before any check runs.
 """
@@ -18,6 +20,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import nullcontext
 
 from .accounting import count_all
 from .bench import MIN_REPS, bench_shift
@@ -182,31 +185,31 @@ def main(argv=None) -> int:
         cfg = _load_cfg(args)
     except (OSError, ValueError) as err:
         parser.error(str(err))
-    t0 = time.perf_counter_ns()
     try:
-        checks, extras = COMMANDS[args.command](args, cfg)
-    except SelectionError as err:
-        checks, extras, code = [], {"error": str(err)}, 2
+        out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     except OSError as err:
-        if err.filename is None or err.filename != getattr(args, "fixtures", None):
-            raise
-        parser.error(f"--fixtures: cannot open {err.filename}: {err.strerror}")
-    else:
-        extras.setdefault("timings_ns", {"total": time.perf_counter_ns() - t0})
-        code = 0 if all(c.passed for c in checks) else 1
-    report = {
-        "schema": SCHEMA,
-        "command": args.command,
-        "config": cfg.to_dict(),
-        "checks": {c.name: c.to_dict() for c in checks},
-        **extras,
-    }
-    text = json.dumps(report, indent=2)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+        parser.error(f"--out: cannot open {args.out}: {err.strerror}")
+    with out if args.out else nullcontext():
+        t0 = time.perf_counter_ns()
+        try:
+            checks, extras = COMMANDS[args.command](args, cfg)
+        except SelectionError as err:
+            checks, extras, code = [], {"error": str(err)}, 2
+        except OSError as err:
+            if err.filename is None or err.filename != getattr(args, "fixtures", None):
+                raise
+            parser.error(f"--fixtures: cannot open {err.filename}: {err.strerror}")
+        else:
+            extras.setdefault("timings_ns", {"total": time.perf_counter_ns() - t0})
+            code = 0 if all(c.passed for c in checks) else 1
+        report = {
+            "schema": SCHEMA,
+            "command": args.command,
+            "config": cfg.to_dict(),
+            "checks": {c.name: c.to_dict() for c in checks},
+            **extras,
+        }
+        out.write(json.dumps(report, indent=2) + "\n")
     return code
 
 

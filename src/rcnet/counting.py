@@ -4,10 +4,13 @@
 names form one path per thread, read by two recorders that do nothing
 outside their blocks. Inside `probes()`, `probe(name, value)` keeps a
 value under "path/name", the path counted from the block and never
-holding a collection's root. Inside `collect()`, a forward is counted:
-convolutions report their MACs, named parameters are attributed (once)
-to the scope that consumes them, and every entered scope gets a row even
-when it costs nothing. Only conv2d (1x1 "linear" convs too) contributes
+holding a collection's root. `probes(on_probe)` hands each probe to
+`on_probe(key, value)` as it fires and keeps nothing, so a check can
+reduce each value as it fires instead of holding every activation a
+forward probes. Inside `collect()`, a forward is counted: convolutions
+report their MACs, named parameters are attributed (once) to the scope
+that consumes them, and every entered scope gets a row even when it
+costs nothing. Only conv2d (1x1 "linear" convs too) contributes
 MACs; elementwise ops, pooling, softmax, normalization and index
 rearrangements all count 0, so zero-cost claims are crisp.
 """
@@ -17,6 +20,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
+from typing import Callable
 
 
 @dataclass
@@ -76,8 +80,8 @@ class _Collector:
 
 #: the collection recording in this thread (or other execution context)
 _ACTIVE: ContextVar[_Collector | None] = ContextVar("rcnet_counting_collector", default=None)
-#: the probe record of this context and the path length when it was opened
-_PROBES: ContextVar[tuple[dict, int] | None] = ContextVar("rcnet_counting_probes", default=None)
+#: the probe sink of this context and the path length when it was opened
+_PROBES: ContextVar[tuple[Callable, int] | None] = ContextVar("rcnet_counting_probes", default=None)
 
 
 @contextmanager
@@ -111,10 +115,14 @@ def scope(name: str):
 
 
 @contextmanager
-def probes():
-    """Record the probes inside this block; yields {scope path/name: value}."""
+def probes(on_probe: Callable[[str, object], None] | None = None):
+    """Record the probes inside this block; yields {scope path/name: value}.
+
+    With `on_probe`, each probe is passed to `on_probe(key, value)` as it
+    fires, in place of the dict, which stays empty.
+    """
     seen: dict = {}
-    token = _PROBES.set((seen, len(_PATH.get())))
+    token = _PROBES.set((on_probe or seen.__setitem__, len(_PATH.get())))
     try:
         yield seen
     finally:
@@ -125,8 +133,8 @@ def probe(name: str, value):
     """Record `value` under the open scope path; nothing outside `probes()`."""
     active = _PROBES.get()
     if active is not None:
-        seen, base = active
-        seen["/".join(_PATH.get()[base:] + (name,))] = value
+        record, base = active
+        record("/".join(_PATH.get()[base:] + (name,)), value)
 
 
 def add_macs(n: int):

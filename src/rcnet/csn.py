@@ -15,8 +15,10 @@ checks that 4r divides d. The stack's own shape gives everything else.
 A forward binds no activation past its last read. One name carries the
 stack through gather, shift, aggregate and context, and each reweighted
 stack goes straight into its pool, so a stack-sized map is freed as soon
-as the next stage has read it. A tape still keeps exactly what backward
-reads.
+as the next stage has read it. The aggregate's residual reads the
+pre-shift stack itself, not a view of the widened one, so the widened
+stack is freed once the reduce conv has read it. A tape still keeps
+exactly what backward reads.
 """
 
 from __future__ import annotations
@@ -111,22 +113,25 @@ def scale_shift(S: Tensor, block: int) -> Tensor:
     return concat(parts, 1)
 
 
-def shift_aggregate(shifted: Tensor, params: ParamStore, d: int) -> Tensor:
-    """Reduce the widened stack back to d channels and add the original stack.
+def shift_aggregate(S: Tensor, params: ParamStore, block: int) -> Tensor:
+    """Shift the stack, reduce the widened stack back to d channels, add S.
 
-    conv 1x1 (d+shifted -> d), norm + relu, conv 1x1 (d -> d); the second
-    conv is zero-initialized, so at init this is exactly the identity on
-    the pre-shift stack. Every op here treats each (scale, pixel) position
-    alike, so they run on a [N, C, n*h, w] view of the stack.
+    scale_shift by `block`, conv 1x1 (d + 4*block -> d), norm + relu, conv
+    1x1 (d -> d); the second conv is zero-initialized, so at init this is
+    exactly the identity on S. The residual reads S itself, so the widened
+    stack is freed once the reduce conv has read it. Every op after the
+    shift treats each (scale, pixel) position alike, so they run on a
+    [N, C, n*h, w] view of the stack.
     """
-    if shifted.shape[1] != params["aggregate/reduce/weight"].shape[1]:
+    with counting.scope("scale_shift"):
+        x = scale_shift(S, block)
+    n_, c, s, h, w = x.shape
+    if c != params["aggregate/reduce/weight"].shape[1]:
         raise ValueError(
-            f"shift_aggregate: {shifted.shape[1]} channels, "
+            f"shift_aggregate: {c} channels after the shift, "
             f"expected {params['aggregate/reduce/weight'].shape[1]}"
         )
-    original = narrow(shifted, 1, 0, d)  # residual source: the pre-shift stack
-    n_, c, s, h, w = shifted.shape
-    x = reshape(shifted, (n_, c, s * h, w))
+    x = reshape(x, (n_, c, s * h, w))
     with counting.scope("aggregate/reduce"):
         x = conv2d(x, params["aggregate/reduce/weight"], params["aggregate/reduce/bias"])
     with counting.scope("aggregate/norm"):
@@ -134,7 +139,7 @@ def shift_aggregate(shifted: Tensor, params: ParamStore, d: int) -> Tensor:
         x = relu(x)
     with counting.scope("aggregate/project"):
         x = conv2d(x, params["aggregate/project/weight"], params["aggregate/project/bias"])
-    return add(original, reshape(x, (n_, d, s, h, w)))
+    return add(S, reshape(x, S.shape))
 
 
 def dual_global_context(Y: Tensor, params: ParamStore) -> Tensor:
@@ -203,9 +208,7 @@ def csn_forward(P: FeaturePyramid, cfg: NeckConfig, params: ParamStore) -> Featu
             raise ValueError(f"csn_forward: input pyramid is missing level {i}")
     with counting.scope("gather"):
         x = gather_to_reference(P, cfg.k)
-    with counting.scope("scale_shift"):
-        x = scale_shift(x, cfg.shift_block)
-    x = shift_aggregate(x, params, cfg.d)
+    x = shift_aggregate(x, params, cfg.shift_block)
     x = dual_global_context(x, params)
     with counting.scope("scatter"):
         return scatter_and_combine(x, P, cfg.k)

@@ -12,10 +12,14 @@ with the boundary rules P'_top = lateral(C_top) (no pre-fusion above the
 pyramid) and P_bottom = P'_bottom (nothing below to merge).
 
 A forward binds no activation past its last read. One name carries each
-level from its guided map through both fusions to its output, a blend is
-freed once the fusion conv has read it, and each lateral map is released
-after its own level's pre-fusion, the last step to read it. A tape still
-keeps exactly what backward reads.
+level from its guided map through both fusions to its output, and each
+lateral map is released after its own level's pre-fusion, the last step
+to read it. A name holds an argument until the call returns, so each
+fusion runs as three statements, blend, conv and norm: both operands are
+freed once the blend is formed, and the blend once the conv has read it.
+A check that probes a forward hands `counting.probes` a callable that
+keeps only what the check reads. A tape still keeps exactly what
+backward reads.
 """
 
 from __future__ import annotations
@@ -146,15 +150,27 @@ def dynamic_weight(a: Tensor, b: Tensor, head_weight: Tensor, head_bias: Tensor)
     return sigmoid(conv2d(pooled, head_weight, head_bias))
 
 
-def fuse(current: Tensor, other: Tensor, site: FusionSite) -> Tensor:
-    """norm(conv(w*current + (1-w)*other)), w from the gate, which rejects unequal shapes."""
+def blend(current: Tensor, other: Tensor, site: FusionSite) -> Tensor:
+    """w*current + (1-w)*other, w from the gate, which rejects unequal shapes."""
     with counting.scope("head"):
         w = dynamic_weight(current, other, site.head_weight, site.head_bias)
     x = add(mul(w, current), mul(sub(Tensor(1.0), w), other))
     counting.probe("blend", x)
     counting.probe("operands", (current, other))
+    return x
+
+
+def fuse(current: Tensor, other: Tensor, site: FusionSite) -> Tensor:
+    """norm(conv(w*current + (1-w)*other)), the three steps `revfp_forward` runs."""
+    return _norm(_conv(blend(current, other, site), site), site)
+
+
+def _conv(x: Tensor, site: FusionSite) -> Tensor:
     with counting.scope("conv"):
-        x = conv2d(x, site.conv_weight, site.conv_bias, padding=1)
+        return conv2d(x, site.conv_weight, site.conv_bias, padding=1)
+
+
+def _norm(x: Tensor, site: FusionSite) -> Tensor:
     with counting.scope("norm"):
         return channel_norm(x, site.gamma, site.beta)
 
@@ -179,13 +195,18 @@ def revfp_forward(C: FeaturePyramid, params: ParamStore, cfg: NeckConfig) -> Fea
             with counting.scope(f"fgu/{i}"):
                 x = feature_guided_upsample(lateral[i], lateral[i + 1], fgu_site(params, i))
             with counting.scope(f"pre/{i}"):
-                x = fuse(lateral.pop(i), x, fusion_site(params, f"pre/{i}"))
+                site = fusion_site(params, f"pre/{i}")
+                x = blend(lateral.pop(i), x, site)
+                x = _conv(x, site)
+                x = _norm(x, site)
         else:
             x = lateral.pop(i)  # top boundary: nothing above to pre-fuse
         counting.probe(f"p_prime/{i}", x)
         if i > cfg.l_min:  # the bottom boundary has nothing below to post-fuse
             with counting.scope(f"post/{i}"):
                 site = fusion_site(params, f"post/{i}")
-                x = fuse(x, maxpool2d(out[i - 1], 2, 2), site)
+                x = blend(x, maxpool2d(out[i - 1], 2, 2), site)
+                x = _conv(x, site)
+                x = _norm(x, site)
         out[i] = x
     return FeaturePyramid(out)

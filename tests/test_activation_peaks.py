@@ -10,9 +10,8 @@ activations, so a stage that holds a stack-sized map again fails here.
 Parameters and inputs are built before tracing starts, except where the
 call builds its own (the invariant checks).
 
-`fpn_forward` (9.2 MiB) and `revfp_forward` (13.2 MiB) carry no bound:
-each peaks inside its bottom level's 3x3 conv, where every live map is
-either read later or held by a call still in progress, so neither moved.
+`fpn_forward` (9.2 MiB) carries no bound: it peaks inside its bottom
+level's 3x3 conv, where every live map is read later, so it never moved.
 """
 
 import tracemalloc
@@ -48,19 +47,32 @@ def _peak_mib(fn) -> float:
             tracemalloc.stop()
 
 
+def test_revfp_forward_peak(desk):
+    # 13.2 MiB while each fusion held both operands through its conv; 10.9 now
+    cfg, rp, _, C = desk
+    assert _peak_mib(lambda: revfp.revfp_forward(C, rp, cfg)) < 12.0
+
+
 def test_rcnet_forward_peak(desk):
-    # 23.6 MiB while every stage of the CSN stack stayed bound; 13.6 now
+    # 23.6 MiB while every stage of the CSN stack stayed bound, 13.6 while
+    # the aggregate's residual kept the widened stack alive; 13.0 now
     cfg, rp, cp, C = desk
-    assert _peak_mib(lambda: csn.rcnet_forward(C, cfg, rp, cp)) < 16.0
+    assert _peak_mib(lambda: csn.rcnet_forward(C, cfg, rp, cp)) < 14.0
 
 
 @pytest.mark.parametrize(
     "check, bound",
     [
-        # 27.8 MiB with the full forward's dead stacks; 17.8 now
+        # 27.8 MiB with the full forward's dead stacks; 17.1 now
         ("determinism_forward", 21.0),
-        # 22.7 MiB with two bumped pyramids held at once; 20.3 now
-        ("revfp_bidirectional", 21.5),
+        # 22.7 MiB with two bumped pyramids held at once, 20.3 with each
+        # fusion's operands held through its conv; 18.0 now
+        ("revfp_bidirectional", 19.5),
+        ("revfp_locality", 18.5),
+        # 22.7 MiB while the probes kept every blend and operand pair; 14.85 now
+        ("fusion_convexity", 14.9),
+        # 20.2 MiB while the probes kept every probed map; 14.85 now
+        ("boundary_rules", 14.9),
     ],
 )
 def test_invariant_check_peak(check, bound):

@@ -150,6 +150,21 @@ def test_missing_fixtures_path_is_a_usage_error(mini_cfg_file, tmp_path, capsys)
         assert captured.out == "", argv
 
 
+def test_unopenable_out_path_is_a_usage_error_before_any_check_runs(
+    mini_cfg_file, tmp_path, monkeypatch, capsys
+):
+    # exit 1 would claim a failed check, and no check may run on a report it cannot write
+    ran = []
+    monkeypatch.setitem(checks_mod.INVARIANT_CHECKS, "spy", lambda cfg: ran.append(cfg))
+    path = tmp_path / "missing_dir" / "r.json"
+    with pytest.raises(SystemExit) as err:
+        main(["invariants", "--config", mini_cfg_file, "--checks", "spy", "--out", str(path)])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert "usage" in captured.err and str(path) in captured.err
+    assert captured.out == "" and ran == []
+
+
 def test_config_the_forward_cannot_run_is_a_usage_error(tmp_path, capsys):
     # desk.json at a 16x16 base leaves a 1x1 top level at batch 1: one value
     # per channel for channel_norm, so no command may start on it

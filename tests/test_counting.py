@@ -195,10 +195,10 @@ class TestProbes:
         assert seen == {"a/b/value": 3.0}
 
     @staticmethod
-    def neck_probes(cfg, counted=False) -> dict:
+    def neck_probes(cfg, counted=False, on_probe=None) -> dict:
         rp, cp = revfp_params(cfg), csn_params(cfg)
         C = prepare_inputs(cfg, rp)
-        with counting.probes() as seen:
+        with counting.probes(on_probe) as seen:
             # a traced run opens a collection around each forward, inside the check's block
             with collect(CountReport(), "revfp") if counted else nullcontext():
                 P = revfp_forward(C, rp, cfg)
@@ -219,9 +219,19 @@ class TestProbes:
         plain = self.neck_probes(mini_cfg)
         counted = self.neck_probes(mini_cfg, counted=True)
         assert list(plain) == list(counted)
-
-        def arrays(value):
-            return [t.data.tobytes() for t in (value if isinstance(value, tuple) else (value,))]
-
         for key, value in plain.items():
-            assert arrays(value) == arrays(counted[key]), key
+            assert _arrays(value) == _arrays(counted[key]), key
+
+    def test_a_callable_sees_every_probe_in_order_in_place_of_the_dict(self, mini_cfg):
+        fired = []
+        seen = self.neck_probes(mini_cfg, on_probe=lambda key, value: fired.append((key, value)))
+        assert seen == {}
+        plain = self.neck_probes(mini_cfg)
+        assert [key for key, _ in fired] == list(plain)
+        for key, value in fired:
+            assert _arrays(value) == _arrays(plain[key]), key
+
+
+def _arrays(value) -> list[bytes]:
+    """The bytes of a probed tensor, or of each tensor in a probed tuple."""
+    return [t.data.tobytes() for t in (value if isinstance(value, tuple) else (value,))]

@@ -126,7 +126,7 @@ class TestShiftAggregate:
     def test_identity_at_init(self, mini_cfg):
         store = csn_params(mini_cfg)
         S = rand((1, mini_cfg.d, 5, 8, 8), 15)
-        out = shift_aggregate(scale_shift(S, mini_cfg.shift_block), store, mini_cfg.d)
+        out = shift_aggregate(S, store, mini_cfg.shift_block)
         assert np.array_equal(out.data, S.data)
 
     def test_matches_fold_compose_oracle(self, mini_cfg):
@@ -137,7 +137,7 @@ class TestShiftAggregate:
         )
         S = rand((2, d, 5, 4, 4), 18)
         shifted = scale_shift(S, mini_cfg.shift_block)
-        got = shift_aggregate(shifted, store, d).data
+        got = shift_aggregate(S, store, mini_cfg.shift_block).data
 
         n_, c, s, h, w = shifted.shape
         x = reshape(transpose(shifted, (0, 2, 1, 3, 4)), (n_ * s, c, h, w))
@@ -151,7 +151,8 @@ class TestShiftAggregate:
     def test_channel_mismatch_rejected(self, mini_cfg):
         store = csn_params(mini_cfg)
         with pytest.raises(ValueError, match="channels"):
-            shift_aggregate(rand((1, mini_cfg.d, 5, 4, 4), 19), store, mini_cfg.d)
+            # one channel per shifted block where the reduce conv expects two
+            shift_aggregate(rand((1, mini_cfg.d, 5, 4, 4), 19), store, 1)
 
 
 class TestDualGlobalContext:

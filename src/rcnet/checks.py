@@ -147,7 +147,11 @@ def tiny_gradcheck_config(seed: int = 7) -> NeckConfig:
 
 def check_fgu_mean_weight(cfg: NeckConfig, trials: int = 10) -> CheckResult:
     """Spatial attention weights must average to exactly 1 at every level."""
-    worst = 0.0
+    errors = []
+
+    def reduce_weights(key: str, weights: Tensor):
+        errors.append(float(np.max(np.abs(weights.data.mean(axis=(2, 3)) - 1.0))))
+
     for i in range(cfg.l_min, cfg.l_max):
         h, w = cfg.resolution(i)
         for t in range(trials):
@@ -159,10 +163,9 @@ def check_fgu_mean_weight(cfg: NeckConfig, trials: int = 10) -> CheckResult:
                 _rand(cfg, tag + "/b", (1,)),
                 _rand(cfg, tag + "/T", (1,)),
             )
-            with counting.probes() as seen:
+            with counting.probes(reduce_weights):
                 feature_guided_upsample(fine, coarse, site)
-            weights = seen["weights"].data
-            worst = max(worst, float(np.max(np.abs(weights.mean(axis=(2, 3)) - 1.0))))
+    worst = max(errors)
     return CheckResult("fgu_mean_weight", worst <= 1e-12, worst, 1e-12)
 
 
@@ -276,11 +279,11 @@ def check_csn_nonadjacent_reach(cfg: NeckConfig) -> CheckResult:
     top scale directly onto the bottom one.
     """
     d = cfg.d
-    store = csn_params(cfg).with_overrides(
-        aggregate__project__weight=_stream(cfg, "reach/proj").standard_normal((d, d, 1, 1)),
-        context__scale__out__weight=_stream(cfg, "reach/sout").standard_normal((d, d, 1, 1)),
-        context__spatial__out__weight=_stream(cfg, "reach/pout").standard_normal((d, d, 1, 1)),
-    )
+    store = csn_params(cfg).with_overrides({
+        "aggregate/project/weight": _stream(cfg, "reach/proj").standard_normal((d, d, 1, 1)),
+        "context/scale/out/weight": _stream(cfg, "reach/sout").standard_normal((d, d, 1, 1)),
+        "context/spatial/out/weight": _stream(cfg, "reach/pout").standard_normal((d, d, 1, 1)),
+    })
     reach = _reach(
         lambda P: csn_forward(P, cfg, store),
         _rand_pyramid(cfg, "reach/P{i}"),
@@ -292,10 +295,8 @@ def check_csn_nonadjacent_reach(cfg: NeckConfig) -> CheckResult:
 
 
 def _severed_store(store: ParamStore, cfg: NeckConfig) -> ParamStore:
-    overrides = {}
-    for i in range(cfg.l_min + 1, cfg.l_max + 1):
-        overrides[f"post__{i}__head__bias"] = np.full((1,), SEVER_BIAS)
-    return store.with_overrides(**overrides)
+    levels = range(cfg.l_min + 1, cfg.l_max + 1)
+    return store.with_overrides({f"post/{i}/head/bias": np.full((1,), SEVER_BIAS) for i in levels})
 
 
 def check_revfp_locality(cfg: NeckConfig) -> CheckResult:
@@ -416,14 +417,15 @@ def check_context_mean_weight(cfg: NeckConfig) -> CheckResult:
     store = csn_params(cfg)
     hk, wk = cfg.resolution(cfg.k)
     Y = _rand(cfg, "ctx_mean/stack", (cfg.batch, cfg.d, cfg.num_levels, hk, wk))
-    with counting.probes() as seen:
+    axes = {"scale_weights": 2, "spatial_weights": (2, 3)}
+    errors = []
+
+    def reduce_weights(key: str, weights: Tensor):
+        errors.append(float(np.max(np.abs(weights.data.mean(axis=axes[key]) - 1.0))))
+
+    with counting.probes(reduce_weights):
         dual_global_context(Y, store)
-    a = seen["scale_weights"].data
-    a2 = seen["spatial_weights"].data
-    worst = max(
-        float(np.max(np.abs(a.mean(axis=2) - 1.0))),
-        float(np.max(np.abs(a2.mean(axis=(2, 3)) - 1.0))),
-    )
+    worst = max(errors)
     return CheckResult("context_mean_weight", worst <= 1e-12, worst, 1e-12)
 
 
@@ -434,7 +436,7 @@ def _resize_chain(x: Tensor, level: int, k: int, direction: str) -> Tensor:
     else:
         steps, down = abs(k - level), level > k
     for _ in range(steps):
-        x = maxpool2d(x, 2, 2) if down else bilinear_upsample_x2(x)
+        x = maxpool2d(x) if down else bilinear_upsample_x2(x)
     return x
 
 
@@ -474,7 +476,7 @@ def check_constant_preservation(cfg: NeckConfig) -> CheckResult:
     x = Tensor(np.full((1, 2, 4, 4), c))
     outs = [
         bilinear_upsample_x2(x).data,
-        maxpool2d(x, 2, 2).data,
+        maxpool2d(x).data,
         global_avg_pool(x).data,
     ]
     worst = max(float(np.max(np.abs(o - c))) for o in outs)
@@ -627,7 +629,7 @@ def _op_cases(seed: int):
     mp_data = s.standard_normal((1, 2, 4, 4))
     mp_data += np.arange(mp_data.size).reshape(mp_data.shape) * 1e-2
     mp = Tensor(mp_data, requires_grad=True, name="pool_x")
-    cases["maxpool2d"] = (lambda: maxpool2d(mp, 2, 2), [mp])
+    cases["maxpool2d"] = (lambda: maxpool2d(mp), [mp])
     g = t((2, 3, 4, 5), name="gap_x")
     cases["global_avg_pool"] = (lambda: global_avg_pool(g), [g])
     sm = t((2, 3, 4), name="softmax_x")
@@ -670,11 +672,11 @@ def gradient_end_to_end_check(seed: int = 7) -> CheckResult:
     cfg = tiny_gradcheck_config(seed)
     rp = revfp_params(cfg)
     d = cfg.d
-    cp = csn_params(cfg).with_overrides(
-        aggregate__project__weight=0.3 * _stream(cfg, "e2e/proj_w").standard_normal((d, d, 1, 1)),
-        context__scale__out__weight=0.3 * _stream(cfg, "e2e/sout_w").standard_normal((d, d, 1, 1)),
-        context__spatial__out__weight=0.3 * _stream(cfg, "e2e/pout_w").standard_normal((d, d, 1, 1)),
-    )
+    cp = csn_params(cfg).with_overrides({
+        "aggregate/project/weight": 0.3 * _stream(cfg, "e2e/proj_w").standard_normal((d, d, 1, 1)),
+        "context/scale/out/weight": 0.3 * _stream(cfg, "e2e/sout_w").standard_normal((d, d, 1, 1)),
+        "context/spatial/out/weight": 0.3 * _stream(cfg, "e2e/pout_w").standard_normal((d, d, 1, 1)),
+    })
     base = synth_backbone(cfg)
     projs = {
         i: _rand(cfg, f"e2e/proj/{i}", (cfg.batch, cfg.d) + cfg.resolution(i))

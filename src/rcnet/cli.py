@@ -6,10 +6,12 @@ when every enabled check in the report passed and 1 when one failed. It
 is 2 for a usage error. A bad flag or value, a config file that cannot
 be read or holds no valid config, an `--out` or `--fixtures` path that
 cannot be opened, and a seed outside the unsigned 64-bit range end with
-a usage message and no report. `--out` is opened, and truncated, after
-the config loads and before any work runs. A `--fixtures` file that
-opens but holds no valid FPZ1 container raises the loader's
-`ContainerError` or `PyramidError`.
+a usage message and no report. `--out` is checked after the config loads
+and before any work runs, but opened only to write a finished report: a
+run that ends in a usage or loader error creates no file there and
+leaves an existing one untouched. A `--fixtures` file that opens but
+holds no valid FPZ1 container raises the loader's `ContainerError` or
+`PyramidError`.
 An unknown or empty `--checks` selection writes a report with no checks
 and an `error` field before any check runs.
 """
@@ -17,7 +19,9 @@ and an `error` field before any check runs.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 import time
 from contextlib import nullcontext
@@ -104,6 +108,18 @@ def _load_cfg(args) -> NeckConfig:
     return cfg
 
 
+def _check_out(path: str) -> None:
+    """Raise the OSError that opening `path` to write would; create or truncate nothing."""
+    try:
+        os.close(os.open(path, os.O_WRONLY))
+    except FileNotFoundError:
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent):
+            raise
+        if not os.access(parent, os.W_OK | os.X_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path) from None
+
+
 def _selected(args) -> list[str] | None:
     if args.checks is None:
         return None
@@ -185,30 +201,31 @@ def main(argv=None) -> int:
         cfg = _load_cfg(args)
     except (OSError, ValueError) as err:
         parser.error(str(err))
-    try:
-        out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    except OSError as err:
-        parser.error(f"--out: cannot open {args.out}: {err.strerror}")
-    with out if args.out else nullcontext():
-        t0 = time.perf_counter_ns()
+    if args.out:
         try:
-            checks, extras = COMMANDS[args.command](args, cfg)
-        except SelectionError as err:
-            checks, extras, code = [], {"error": str(err)}, 2
+            _check_out(args.out)
         except OSError as err:
-            if err.filename is None or err.filename != getattr(args, "fixtures", None):
-                raise
-            parser.error(f"--fixtures: cannot open {err.filename}: {err.strerror}")
-        else:
-            extras.setdefault("timings_ns", {"total": time.perf_counter_ns() - t0})
-            code = 0 if all(c.passed for c in checks) else 1
-        report = {
-            "schema": SCHEMA,
-            "command": args.command,
-            "config": cfg.to_dict(),
-            "checks": {c.name: c.to_dict() for c in checks},
-            **extras,
-        }
+            parser.error(f"--out: cannot open {args.out}: {err.strerror}")
+    t0 = time.perf_counter_ns()
+    try:
+        checks, extras = COMMANDS[args.command](args, cfg)
+    except SelectionError as err:
+        checks, extras, code = [], {"error": str(err)}, 2
+    except OSError as err:
+        if err.filename is None or err.filename != getattr(args, "fixtures", None):
+            raise
+        parser.error(f"--fixtures: cannot open {err.filename}: {err.strerror}")
+    else:
+        extras.setdefault("timings_ns", {"total": time.perf_counter_ns() - t0})
+        code = 0 if all(c.passed for c in checks) else 1
+    report = {
+        "schema": SCHEMA,
+        "command": args.command,
+        "config": cfg.to_dict(),
+        "checks": {c.name: c.to_dict() for c in checks},
+        **extras,
+    }
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as out:
         out.write(json.dumps(report, indent=2) + "\n")
     return code
 

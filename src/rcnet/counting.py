@@ -2,17 +2,18 @@
 
 `scope(name)` names the operator whose ops execute inside it. The open
 names form one path per thread, read by two recorders that do nothing
-outside their blocks. Inside `probes()`, `probe(name, value)` keeps a
-value under "path/name", the path counted from the block and never
-holding a collection's root. `probes(on_probe)` hands each probe to
-`on_probe(key, value)` as it fires and keeps nothing, so a check can
-reduce each value as it fires instead of holding every activation a
-forward probes. Inside `collect()`, a forward is counted: convolutions
-report their MACs, named parameters are attributed (once) to the scope
-that consumes them, and every entered scope gets a row even when it
-costs nothing. Only conv2d (1x1 "linear" convs too) contributes
-MACs; elementwise ops, pooling, softmax, normalization and index
-rearrangements all count 0, so zero-cost claims are crisp.
+outside their blocks. Inside `probes(on_probe)`, `probe(name, value)`
+hands `on_probe` the key "path/name", the path counted from the block
+and never holding a collection's root, and the value, as it fires. The
+block keeps nothing, so a check reduces each value as it fires instead
+of holding every activation a forward probes; a caller that wants them
+all passes `seen.__setitem__`. Inside `collect()`, a forward is
+counted: convolutions report their MACs, named parameters are
+attributed (once) to the scope that consumes them, and every entered
+scope gets a row even when it costs nothing. Only conv2d (1x1 "linear"
+convs too) contributes MACs; elementwise ops, pooling, softmax,
+normalization and index rearrangements all count 0, so zero-cost claims
+are crisp.
 """
 
 from __future__ import annotations
@@ -115,22 +116,17 @@ def scope(name: str):
 
 
 @contextmanager
-def probes(on_probe: Callable[[str, object], None] | None = None):
-    """Record the probes inside this block; yields {scope path/name: value}.
-
-    With `on_probe`, each probe is passed to `on_probe(key, value)` as it
-    fires, in place of the dict, which stays empty.
-    """
-    seen: dict = {}
-    token = _PROBES.set((on_probe or seen.__setitem__, len(_PATH.get())))
+def probes(on_probe: Callable[[str, object], None]):
+    """Hand each probe inside this block to `on_probe(scope path/name, value)`."""
+    token = _PROBES.set((on_probe, len(_PATH.get())))
     try:
-        yield seen
+        yield
     finally:
         _PROBES.reset(token)
 
 
 def probe(name: str, value):
-    """Record `value` under the open scope path; nothing outside `probes()`."""
+    """Hand `value` to the open `probes()` block under the scope path; else nothing."""
     active = _PROBES.get()
     if active is not None:
         record, base = active

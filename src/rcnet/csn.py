@@ -68,7 +68,7 @@ def csn_params(cfg: NeckConfig) -> ParamStore:
 
 def _resize_down(x: Tensor, times: int) -> Tensor:
     for _ in range(times):
-        x = maxpool2d(x, 2, 2)
+        x = maxpool2d(x)
     return x
 
 

@@ -50,21 +50,17 @@ class ParamStore:
     def __getitem__(self, name: str) -> Tensor:
         return self._tensors[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._tensors
-
     def tensors(self) -> list[Tensor]:
         return list(self._tensors.values())
 
     def param_count(self) -> int:
         return sum(t.size for t in self._tensors.values())
 
-    def with_overrides(self, **arrays: np.ndarray) -> "ParamStore":
-        """Shallow copy with some tensors replaced (keys use '__' for '/')."""
+    def with_overrides(self, arrays: dict[str, np.ndarray]) -> "ParamStore":
+        """Shallow copy with the tensors named by the keys of `arrays` replaced."""
         clone = ParamStore(self.seed)
         clone._tensors = dict(self._tensors)
-        for key, data in arrays.items():
-            name = key.replace("__", "/")
+        for name, data in arrays.items():
             if name not in clone._tensors:
                 raise KeyError(name)
             clone._tensors[name] = Tensor(

@@ -36,6 +36,7 @@ import os
 
 import numpy as np
 
+from .config import _is_int
 from .tensor import Tensor
 
 MAGIC = b"FPZ1"
@@ -219,10 +220,6 @@ def _parse_header(path: str, head: bytes) -> dict:
     if not isinstance(shapes, dict):
         raise HeaderError(f"{path}: 'shapes' must be an object keyed by level")
     return header
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def pyramid_digest(pyr: FeaturePyramid) -> str:

@@ -17,9 +17,10 @@ lateral map is released after its own level's pre-fusion, the last step
 to read it. A name holds an argument until the call returns, so each
 fusion runs as three statements, blend, conv and norm: both operands are
 freed once the blend is formed, and the blend once the conv has read it.
-A check that probes a forward hands `counting.probes` a callable that
-keeps only what the check reads. A tape still keeps exactly what
-backward reads.
+`blend` is the one fusion function; those two sites are the only places
+that compose it with the conv and the norm. A check that probes a
+forward hands `counting.probes` a callable that keeps only what the
+check reads. A tape still keeps exactly what backward reads.
 """
 
 from __future__ import annotations
@@ -160,11 +161,6 @@ def blend(current: Tensor, other: Tensor, site: FusionSite) -> Tensor:
     return x
 
 
-def fuse(current: Tensor, other: Tensor, site: FusionSite) -> Tensor:
-    """norm(conv(w*current + (1-w)*other)), the three steps `revfp_forward` runs."""
-    return _norm(_conv(blend(current, other, site), site), site)
-
-
 def _conv(x: Tensor, site: FusionSite) -> Tensor:
     with counting.scope("conv"):
         return conv2d(x, site.conv_weight, site.conv_bias, padding=1)
@@ -205,7 +201,7 @@ def revfp_forward(C: FeaturePyramid, params: ParamStore, cfg: NeckConfig) -> Fea
         if i > cfg.l_min:  # the bottom boundary has nothing below to post-fuse
             with counting.scope(f"post/{i}"):
                 site = fusion_site(params, f"post/{i}")
-                x = blend(x, maxpool2d(out[i - 1], 2, 2), site)
+                x = blend(x, maxpool2d(out[i - 1]), site)
                 x = _conv(x, site)
                 x = _norm(x, site)
         out[i] = x

@@ -102,11 +102,6 @@ def _words_step(out, a, b, seed, first, scratch):
     _mix64(out[a:b], seed, first + a, scratch[0, : b - a])
 
 
-def _uniforms_step(out, a, b, seed, first, scratch):
-    m = b - a
-    _uniform(out[a:b], seed, first + a, scratch[0, :m], scratch[1, :m])
-
-
 def _normals_step(out, a, b, seed, first, scratch):
     # out is [pairs, 2]: u1 of pair j is word first + j, u2 is word first + pairs + j
     m = b - a
@@ -198,11 +193,6 @@ class SplitMix64:
     def words(self, count: int) -> np.ndarray:
         out = np.empty(count, dtype=np.uint64)
         return _draw(_words_step, out, self._seed, self._take(count))
-
-    def uniforms(self, count: int) -> np.ndarray:
-        """`count` doubles in (0, 1], each from the top 53 bits of one word."""
-        out = np.empty(count, dtype=np.float64)
-        return _draw(_uniforms_step, out, self._seed, self._take(count))
 
     def standard_normal(self, shape: tuple[int, ...] | tuple[()] = ()) -> np.ndarray:
         """Standard normals via Box-Muller; output is row-major over `shape`."""

@@ -74,8 +74,9 @@ frees a whole-map buffer any more, importing this module under glibc fixes
 malloc's mmap and trim thresholds (`_pin_malloc_thresholds`).
 
 The resampling kernels read strided views rather than building gather
-buffers. maxpool2d takes np.maximum over its k*k window views, and its
-backward re-derives each window's first maximum from x and the output.
+buffers. maxpool2d (2x2, stride 2) takes np.maximum over its four window
+views, and its backward re-derives each window's first maximum from x and
+the output.
 The bilinear x2 upsample builds each axis's even and odd outputs by
 slicing; each output is the same sum of two products as in the
 index-gather formula, so the result is bitwise that formula's.
@@ -190,10 +191,6 @@ class Tensor:
     @property
     def name(self) -> str | None:
         return self._cell.name
-
-    @name.setter
-    def name(self, value: str | None):
-        self._cell.name = value
 
     @property
     def grad(self) -> np.ndarray | None:
@@ -492,12 +489,10 @@ def tsum(a: Tensor, axes: tuple[int, ...] | None = None, keepdims: bool = False)
     return _make("sum", out, [(a, vjp)])
 
 
-def tmean(a: Tensor, axes: tuple[int, ...] | None = None, keepdims: bool = False) -> Tensor:
-    if axes is None:
-        count = a.size
-    else:
-        count = int(np.prod([a.shape[ax] for ax in axes]))
-    return scale(tsum(a, axes, keepdims), 1.0 / count)
+def tmean(a: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
+    """The mean over `axes`, or over every element when `axes` is None."""
+    total = tsum(a, axes)
+    return scale(total, total.size / a.size)  # 1/count, rounded once
 
 
 # ---------------------------------------------------------------------------
@@ -960,42 +955,32 @@ def _line_blocks(lines: np.ndarray, n: int):
     return _blocks(len(lines), n * max(1, _PASS_BLOCK // per_line))
 
 
-def maxpool2d(x: Tensor, k: int, stride: int) -> Tensor:
-    """Per-window maximum over the trailing two axes of an NCHW tensor.
+def maxpool2d(x: Tensor) -> Tensor:
+    """The 2x2, stride-2 maximum over the trailing two axes of an NCHW tensor.
 
-    The forward folds np.maximum over the k*k strided window views, so it
-    allocates nothing larger than its output; a 2x2, stride-2 pool of a
-    contiguous input runs in flat passes (`_maxpool_2x2`), with buffers
-    below half its output. Backward routes the whole gradient to the window
-    argmax: it re-derives, from x and the output, the first element in
-    row-major window order that equals the maximum, so ties go to that
-    element and backward is deterministic.
+    A contiguous input runs in flat passes (`_maxpool_2x2`), with buffers
+    below half its output. Any other input folds np.maximum over the four
+    strided window views, which allocates nothing larger than the output
+    and, on a strided slice, beats copying the slice for the flat passes.
+    Backward routes the whole gradient to the window argmax: it
+    re-derives, from x and the output, the first element in row-major
+    window order that equals the maximum, so ties go to that element and
+    backward is deterministic.
     """
     if x.ndim != 4:
         raise ValueError(f"maxpool2d: input must be 4-D [N,C,H,W], got {x.shape}")
-    N, C, H, W = x.shape
-    if k < 1 or stride < 1:
-        raise ValueError(f"maxpool2d: window and stride must be >= 1, got {k} and {stride}")
-    if H < k or W < k:
-        raise ValueError(
-            f"maxpool2d: no output pixel for input {H}x{W}, window {k}x{k}, "
-            f"stride {stride}, padding 0: the window is larger than the input"
-        )
-    if (H - k) % stride or (W - k) % stride:
-        raise ValueError(
-            f"maxpool2d: extent {H}x{W} not divisible for window {k}, stride {stride}"
-        )
-    Hp = (H - k) // stride + 1
-    Wp = (W - k) // stride + 1
-    taps = [(i, j) for i in range(k) for j in range(k)]
+    H, W = x.shape[2:]
+    if H < 2 or W < 2 or H % 2 or W % 2:
+        raise ValueError(f"maxpool2d: extent {H}x{W} not divisible into 2x2 windows")
+    taps = ((0, 0), (0, 1), (1, 0), (1, 1))
 
     def window(a, i, j):  # the element tap (i, j) of every window
-        return a[:, :, i : i + stride * Hp : stride, j : j + stride * Wp : stride]
+        return a[:, :, i::2, j::2]
 
     xd = x.data
     # on a tie np.maximum returns its second operand, so the earlier tap's
     # value is kept (its sign too, for a -0.0/0.0 tie)
-    if k == stride == 2 and xd.flags.c_contiguous and xd.size:
+    if xd.flags.c_contiguous and xd.size:
         out = _maxpool_2x2(xd)
     else:
         out = window(xd, 0, 0).copy()

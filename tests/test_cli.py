@@ -10,7 +10,7 @@ from rcnet import checks as checks_mod
 from rcnet.checks import CheckResult
 from rcnet.cli import main
 from rcnet.counting import CountReport
-from rcnet.pyramid import ContainerError, FeaturePyramid, load_pyramid
+from rcnet.pyramid import ContainerError, FeaturePyramid, HeaderError, load_pyramid
 
 DESK_JSON = Path(__file__).parent.parent / "desk.json"
 
@@ -207,6 +207,22 @@ def test_bad_fixtures_container_raises_the_loader_error(mini_cfg_file, tmp_path)
     bad.write_bytes(b"XXXX")
     with pytest.raises(ContainerError):
         main(["forward", "fpn", "--config", mini_cfg_file, "--fixtures", str(bad)])
+
+
+def test_a_run_that_ends_in_an_error_leaves_out_as_it_was(mini_cfg_file, tmp_path):
+    # --out was truncated before the run: a usage error left an empty file,
+    # and a loader error emptied an existing report
+    out = tmp_path / "r.json"
+    argv = ["forward", "fpn", "--config", mini_cfg_file, "--out", str(out), "--fixtures"]
+    with pytest.raises(SystemExit) as err:
+        main(argv + [str(tmp_path / "nope.fpz")])
+    assert err.value.code == 2 and not out.exists()
+    out.write_text("an earlier report")
+    bad = tmp_path / "bad.fpz"
+    bad.write_bytes(b"FPZ1" + (8).to_bytes(4, "little") + b"not json")
+    with pytest.raises(HeaderError):
+        main(argv + [str(bad)])
+    assert out.read_text() == "an earlier report"
 
 
 def test_forward_accepts_saved_fixtures(mini_cfg_file, tmp_path, capsys):

@@ -282,20 +282,14 @@ class TestWindowLargerThanInput:
         with pytest.raises(ValueError, match=want):
             conv2d(x, w, b, stride, padding)
 
-    @pytest.mark.parametrize("shape,k,stride", [((1, 1, 1, 1), 3, 1), ((1, 2, 2, 5), 3, 2)])
-    def test_maxpool2d(self, shape, k, stride):
+    @pytest.mark.parametrize("shape", [(1, 1, 1, 1), (1, 2, 1, 4)])  # the second: only H too small
+    def test_maxpool2d(self, shape):
         h, w = shape[2:]
-        want = f"input {h}x{w}, window {k}x{k}, stride {stride}, padding 0"
-        with pytest.raises(ValueError, match=want):
-            maxpool2d(Tensor(np.zeros(shape)), k, stride)
-
-    @pytest.mark.parametrize("k,stride", [(2, 0), (0, 1)])  # stride 0 divided by zero
-    def test_maxpool2d_window_and_stride_at_least_one(self, k, stride):
-        with pytest.raises(ValueError, match=f"got {k} and {stride}"):
-            maxpool2d(Tensor(np.zeros((1, 1, 4, 4))), k, stride)
+        with pytest.raises(ValueError, match=f"extent {h}x{w} not divisible into 2x2 windows"):
+            maxpool2d(Tensor(np.zeros(shape)))
 
     def test_window_equal_to_input_gives_one_pixel(self):
-        out = maxpool2d(Tensor(np.arange(9.0).reshape(1, 1, 3, 3)), 3, 1)
-        assert out.shape == (1, 1, 1, 1) and out.data.item() == 8.0
+        out = maxpool2d(Tensor(np.arange(4.0).reshape(1, 1, 2, 2)))
+        assert out.shape == (1, 1, 1, 1) and out.data.item() == 3.0
         out = conv2d(Tensor(np.ones((1, 1, 1, 1))), Tensor(np.ones((1, 1, 3, 3))), Tensor(np.zeros(1)), 1, 1)
         assert out.shape == (1, 1, 1, 1) and out.data.item() == 1.0

@@ -184,52 +184,51 @@ def test_collect_rows_start_at_root():
 class TestProbes:
     def test_probe_outside_probes_records_nothing(self):
         counting.probe("before", 0.0)  # no block open: a no-op, not an error
-        with counting.probes() as seen:
+        seen = {}
+        with counting.probes(seen.__setitem__):
             counting.probe("inside", 1.0)
         counting.probe("after", 2.0)
         assert seen == {"inside": 1.0}
 
     def test_keys_are_the_scopes_opened_inside_the_block(self):
-        with scope("outer"), counting.probes() as seen, scope("a"), scope("b"):
+        seen = {}
+        with scope("outer"), counting.probes(seen.__setitem__), scope("a"), scope("b"):
             counting.probe("value", 3.0)
         assert seen == {"a/b/value": 3.0}
 
     @staticmethod
-    def neck_probes(cfg, counted=False, on_probe=None) -> dict:
+    def neck_probes(cfg, counted=False) -> list:
+        """Every (key, value) the revfp and csn forwards probe, in the order they fire."""
+        fired = []
         rp, cp = revfp_params(cfg), csn_params(cfg)
         C = prepare_inputs(cfg, rp)
-        with counting.probes(on_probe) as seen:
+        with counting.probes(lambda key, value: fired.append((key, value))):
             # a traced run opens a collection around each forward, inside the check's block
             with collect(CountReport(), "revfp") if counted else nullcontext():
                 P = revfp_forward(C, rp, cfg)
             with collect(CountReport(), "csn") if counted else nullcontext():
                 csn_forward(P, cfg, cp)
-        return seen
+        return fired
 
     def test_forwards_probe_what_the_checks_read(self, mini_cfg):
+        # in forward order: check_fusion_convexity reads each blend as its operands arrive
         lo, hi = mini_cfg.l_min, mini_cfg.l_max
-        want = {"scale_weights", "spatial_weights"} | {f"p_prime/{i}" for i in range(lo, hi + 1)}
-        for i in range(lo, hi):
-            want |= {f"fgu/{i}/weights", f"pre/{i}/blend", f"pre/{i}/operands"}
-        for i in range(lo + 1, hi + 1):
-            want |= {f"post/{i}/blend", f"post/{i}/operands"}
-        assert set(self.neck_probes(mini_cfg)) == want
+        want = []
+        for i in range(lo, hi + 1):
+            if i < hi:
+                want += [f"fgu/{i}/weights", f"pre/{i}/blend", f"pre/{i}/operands"]
+            want.append(f"p_prime/{i}")
+            if i > lo:
+                want += [f"post/{i}/blend", f"post/{i}/operands"]
+        want += ["scale_weights", "spatial_weights"]
+        assert [key for key, _ in self.neck_probes(mini_cfg)] == want
 
     def test_probes_are_the_same_inside_a_collection(self, mini_cfg):
         plain = self.neck_probes(mini_cfg)
         counted = self.neck_probes(mini_cfg, counted=True)
-        assert list(plain) == list(counted)
-        for key, value in plain.items():
-            assert _arrays(value) == _arrays(counted[key]), key
-
-    def test_a_callable_sees_every_probe_in_order_in_place_of_the_dict(self, mini_cfg):
-        fired = []
-        seen = self.neck_probes(mini_cfg, on_probe=lambda key, value: fired.append((key, value)))
-        assert seen == {}
-        plain = self.neck_probes(mini_cfg)
-        assert [key for key, _ in fired] == list(plain)
-        for key, value in fired:
-            assert _arrays(value) == _arrays(plain[key]), key
+        assert [key for key, _ in plain] == [key for key, _ in counted]
+        for (key, value), (_, other) in zip(plain, counted):
+            assert _arrays(value) == _arrays(other), key
 
 
 def _arrays(value) -> list[bytes]:

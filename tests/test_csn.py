@@ -61,7 +61,7 @@ class TestGather:
             x = P[i]
             if i < mini_cfg.k:
                 for _ in range(mini_cfg.k - i):
-                    x = maxpool2d(x, 2, 2)
+                    x = maxpool2d(x)
             else:
                 for _ in range(i - mini_cfg.k):
                     x = bilinear_upsample_x2(x)
@@ -131,10 +131,10 @@ class TestShiftAggregate:
 
     def test_matches_fold_compose_oracle(self, mini_cfg):
         d = mini_cfg.d
-        store = csn_params(mini_cfg).with_overrides(
-            aggregate__project__weight=SplitMix64(16).standard_normal((d, d, 1, 1)),
-            aggregate__project__bias=SplitMix64(17).standard_normal((d,)),
-        )
+        store = csn_params(mini_cfg).with_overrides({
+            "aggregate/project/weight": SplitMix64(16).standard_normal((d, d, 1, 1)),
+            "aggregate/project/bias": SplitMix64(17).standard_normal((d,)),
+        })
         S = rand((2, d, 5, 4, 4), 18)
         shifted = scale_shift(S, mini_cfg.shift_block)
         got = shift_aggregate(S, store, mini_cfg.shift_block).data
@@ -165,7 +165,8 @@ class TestDualGlobalContext:
     def test_constant_stack_uniform_weights(self, mini_cfg):
         store = csn_params(mini_cfg)
         Y = Tensor(np.full((1, mini_cfg.d, 5, 8, 8), 1.3))
-        with counting.probes() as seen:
+        seen = {}
+        with counting.probes(seen.__setitem__):
             dual_global_context(Y, store)
         a, a2 = seen["scale_weights"].data, seen["spatial_weights"].data
         assert np.max(np.abs(a - 1.0)) <= 1e-12
@@ -174,17 +175,18 @@ class TestDualGlobalContext:
     def test_mean_weight_is_one(self, mini_cfg):
         store = csn_params(mini_cfg)
         Y = rand((2, mini_cfg.d, 5, 4, 4), 21)
-        with counting.probes() as seen:
+        seen = {}
+        with counting.probes(seen.__setitem__):
             dual_global_context(Y, store)
         assert np.max(np.abs(seen["scale_weights"].data.mean(axis=2) - 1.0)) <= 1e-12
         assert np.max(np.abs(seen["spatial_weights"].data.mean(axis=(2, 3)) - 1.0)) <= 1e-12
 
     def test_matches_step_by_step_oracle(self, mini_cfg):
         d = mini_cfg.d
-        store = csn_params(mini_cfg).with_overrides(
-            context__scale__out__weight=SplitMix64(22).standard_normal((d, d, 1, 1)),
-            context__spatial__out__weight=SplitMix64(23).standard_normal((d, d, 1, 1)),
-        )
+        store = csn_params(mini_cfg).with_overrides({
+            "context/scale/out/weight": SplitMix64(22).standard_normal((d, d, 1, 1)),
+            "context/spatial/out/weight": SplitMix64(23).standard_normal((d, d, 1, 1)),
+        })
         Y = rand((1, d, 5, 4, 4), 24)
         got = dual_global_context(Y, store).data
 
@@ -240,7 +242,7 @@ class TestScatter:
                     x = bilinear_upsample_x2(x)
             else:
                 for _ in range(i - mini_cfg.k):
-                    x = maxpool2d(x, 2, 2)
+                    x = maxpool2d(x)
             assert np.array_equal(out[i].data, P[i].data + x.data), f"level {i}"
 
 
@@ -259,15 +261,15 @@ class TestCsnForward:
             steps = abs(mini_cfg.k - i)
             down_first = i < mini_cfg.k
             for _ in range(steps):
-                x = maxpool2d(x, 2, 2) if down_first else bilinear_upsample_x2(x)
+                x = maxpool2d(x) if down_first else bilinear_upsample_x2(x)
             for _ in range(steps):
-                x = bilinear_upsample_x2(x) if down_first else maxpool2d(x, 2, 2)
+                x = bilinear_upsample_x2(x) if down_first else maxpool2d(x)
             assert np.max(np.abs(out[i].data - (P[i].data + x.data))) <= 1e-12
 
     def test_top_level_reaches_bottom(self, mini_cfg):
         d = mini_cfg.d
         store = csn_params(mini_cfg).with_overrides(
-            aggregate__project__weight=SplitMix64(42).standard_normal((d, d, 1, 1)),
+            {"aggregate/project/weight": SplitMix64(42).standard_normal((d, d, 1, 1))}
         )
         P = random_pyramid(mini_cfg, seed=43)
         base = csn_forward(P, mini_cfg, store)

@@ -124,7 +124,6 @@ class TestSplitMix:
         monkeypatch.setattr(rng, "_cpus", lambda: 3)
         for kind, arg in [
             ("words", items),
-            ("uniforms", items),
             ("standard_normal", (2 * items,)),
             ("standard_normal", (2 * items - 1,)),
         ]:
@@ -140,17 +139,16 @@ class TestSplitMix:
     def test_interleaved_draws_match_the_formula_bitwise(self):
         ours, oracle = SplitMix64(2**64 - 1), _OracleSplitMix64(2**64 - 1)
         for kind, arg in [
-            ("standard_normal", (5,)), ("words", 3), ("uniforms", _B + 1),
+            ("standard_normal", (5,)), ("words", 3), ("words", _B + 1),
             ("standard_normal", (2, _B + 3)), ("words", _T + 5), ("standard_normal", ()),
-            ("uniforms", 2), ("standard_normal", (2 * _T + 3,)), ("words", 1),
+            ("words", 2), ("standard_normal", (2 * _T + 3,)), ("words", 1),
         ]:
             got, want = getattr(ours, kind)(arg), getattr(oracle, kind)(arg)
             assert _same_bits(got, want), (kind, arg)
 
     @pytest.mark.parametrize(
         "step, dtype, width",
-        [(rng._words_step, np.uint64, None), (rng._uniforms_step, np.float64, None),
-         (rng._normals_step, np.float64, 2)],
+        [(rng._words_step, np.uint64, None), (rng._normals_step, np.float64, 2)],
     )
     def test_fill_bits_do_not_depend_on_the_split(self, step, dtype, width):
         n, seed, first = 3 * _B + 17, np.uint64(2**64 - 1), 12345

@@ -183,7 +183,7 @@ def signed_zero_ties():
 class TestMaxPool:
     def test_signed_zero_ties_at_every_tap(self):
         x = signed_zero_ties()
-        assert same_bytes(maxpool2d(Tensor(x), 2, 2).data, maxpool_first_loops(x, 2, 2))
+        assert same_bytes(maxpool2d(Tensor(x)).data, maxpool_first_loops(x, 2, 2))
 
     @pytest.mark.parametrize(
         "shape",
@@ -197,16 +197,16 @@ class TestMaxPool:
         rng = np.random.default_rng(sum(shape))
         x = rng.integers(-1, 2, shape).astype(np.float64)
         x[rng.random(shape) < 0.5] *= -1.0
-        assert same_bytes(maxpool2d(Tensor(x), 2, 2).data, maxpool_first_loops(x, 2, 2))
+        assert same_bytes(maxpool2d(Tensor(x)).data, maxpool_first_loops(x, 2, 2))
 
     @pytest.mark.parametrize("shape", [(0, 1, 2, 2), (1, 0, 4, 4)])
     def test_empty_input(self, shape):
-        out = maxpool2d(Tensor(np.zeros(shape)), 2, 2)
+        out = maxpool2d(Tensor(np.zeros(shape)))
         assert out.shape == shape[:2] + (shape[2] // 2, shape[3] // 2)
 
     def test_non_contiguous_input_keeps_the_fold(self):
         x = np.asfortranarray(signed_zero_ties().repeat(2, axis=1))
-        assert same_bytes(maxpool2d(Tensor(x), 2, 2).data, maxpool_first_loops(x, 2, 2))
+        assert same_bytes(maxpool2d(Tensor(x)).data, maxpool_first_loops(x, 2, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -31,14 +31,9 @@ def test_output_shapes(mini_cfg):
 
 def test_zero_laterals_give_output_bias_maps(mini_cfg):
     C, store = build(mini_cfg)
-    zeroed = {}
-    for i in mini_cfg.stage_levels():
-        zeroed[f"lateral__{i}__weight"] = np.zeros(store[f"lateral/{i}/weight"].shape)
-        zeroed[f"lateral__{i}__bias"] = np.zeros(store[f"lateral/{i}/bias"].shape)
-    for name in ("stem/c6", "stem/c7"):
-        zeroed[name.replace("/", "__") + "__weight"] = np.zeros(store[f"{name}/weight"].shape)
-        zeroed[name.replace("/", "__") + "__bias"] = np.zeros(store[f"{name}/bias"].shape)
-    store = store.with_overrides(**zeroed)
+    sites = [f"lateral/{i}" for i in mini_cfg.stage_levels()] + ["stem/c6", "stem/c7"]
+    names = [f"{site}/{part}" for site in sites for part in ("weight", "bias")]
+    store = store.with_overrides({name: np.zeros(store[name].shape) for name in names})
     out = fpn_forward(extend_stem(synth_backbone(mini_cfg), store, mini_cfg), store, mini_cfg)
     for i in mini_cfg.stage_levels():
         want = np.broadcast_to(
@@ -54,12 +49,8 @@ def test_chainless_level_reduces_to_lateral_then_output_conv(mini_cfg):
     """With the stem zeroed the top-down contribution into level 5 vanishes,
     so P5 is exactly outconv(lateral(C5)): the single-level composition."""
     C, store = build(mini_cfg)
-    store = store.with_overrides(
-        stem__c6__weight=np.zeros(store["stem/c6/weight"].shape),
-        stem__c6__bias=np.zeros(store["stem/c6/bias"].shape),
-        stem__c7__weight=np.zeros(store["stem/c7/weight"].shape),
-        stem__c7__bias=np.zeros(store["stem/c7/bias"].shape),
-    )
+    names = [f"stem/{c}/{part}" for c in ("c6", "c7") for part in ("weight", "bias")]
+    store = store.with_overrides({name: np.zeros(store[name].shape) for name in names})
     C = extend_stem(synth_backbone(mini_cfg), store, mini_cfg)
     out = fpn_forward(C, store, mini_cfg)
     lat = conv2d(C[5], store["lateral/5/weight"], store["lateral/5/bias"])

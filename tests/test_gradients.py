@@ -61,7 +61,7 @@ def test_composed_graph_matches_finite_differences():
     proj = Tensor(s.standard_normal((1, 2, 8, 8)))
 
     def build_loss():
-        up = bilinear_upsample_x2(maxpool2d(x, 2, 2))  # 8x8 again, via 4x4
+        up = bilinear_upsample_x2(maxpool2d(x))  # 8x8 again, via 4x4
         both = concat([x, up], 1)
         y = relu(conv2d(both, w, b, stride=1, padding=1))
         att = softmax(y, (2, 3))

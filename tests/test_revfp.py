@@ -8,9 +8,9 @@ from rcnet.checks import SEVER_BIAS, _severed_store
 from rcnet.fixtures import extend_stem, synth_backbone
 from rcnet.revfp import (
     FguSite,
+    blend,
     dynamic_weight,
     feature_guided_upsample,
-    fuse,
     revfp_forward,
     revfp_params,
 )
@@ -20,7 +20,6 @@ from rcnet.tensor import (
     Tensor,
     backward,
     bilinear_upsample_x2,
-    channel_norm,
     concat,
     conv2d,
     global_avg_pool,
@@ -92,7 +91,8 @@ class TestFeatureGuidedUpsample:
 
     def test_mean_weight_is_one(self):
         d = 4
-        with counting.probes() as seen:
+        seen = {}
+        with counting.probes(seen.__setitem__):
             feature_guided_upsample(rand((2, d, 6, 6), 3), rand((2, d, 3, 3), 4), rand_site(d, 5))
         w = seen["weights"].data
         assert np.max(np.abs(w.mean(axis=(2, 3)) - 1.0)) <= 1e-12
@@ -175,40 +175,33 @@ class TestFusionSteps:
             site = _site(d, 22)
             site.head_bias.data[:] = bias
             site.head_weight.data[:] = 0.0
-            with counting.probes() as seen:
-                fuse(c_i, guided, site)
-            assert np.array_equal(seen["blend"].data, want.data)
+            assert np.array_equal(blend(c_i, guided, site).data, want.data)
 
     def test_blend_inside_envelope(self):
         d = 4
         c_i, guided = rand((2, d, 6, 6), 23), rand((2, d, 6, 6), 24)
-        with counting.probes() as seen:
-            fuse(c_i, guided, _site(d, 25))
-        blend = seen["blend"].data
+        x = blend(c_i, guided, _site(d, 25)).data
         lo = np.minimum(c_i.data, guided.data)
         hi = np.maximum(c_i.data, guided.data)
-        assert np.all(blend >= lo - 1e-12) and np.all(blend <= hi + 1e-12)
+        assert np.all(x >= lo - 1e-12) and np.all(x <= hi + 1e-12)
 
     def test_post_matches_hand_composition(self):
         d = 4
         p_prime, p_prev = rand((1, d, 4, 4), 26), rand((1, d, 8, 8), 27)
         site = _site(d, 28)
-        down = maxpool2d(p_prev, 2, 2)
-        got = fuse(p_prime, down, site).data
+        down = maxpool2d(p_prev)
+        got = blend(p_prime, down, site).data
 
         w = sigmoid(
             conv2d(global_avg_pool(concat([p_prime, down], 1)), site.head_weight, site.head_bias)
         ).data
-        blend = Tensor(w * p_prime.data + (1.0 - w) * down.data)
-        want = channel_norm(
-            conv2d(blend, site.conv_weight, site.conv_bias, padding=1), site.gamma, site.beta
-        ).data
+        want = w * p_prime.data + (1.0 - w) * down.data
         assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_unequal_operands_rejected(self):
         d = 4
         with pytest.raises(ValueError, match="operand shapes"):
-            fuse(rand((1, d, 4, 4), 29), rand((1, d, 8, 8), 30), _site(d, 31))
+            blend(rand((1, d, 4, 4), 29), rand((1, d, 8, 8), 30), _site(d, 31))
 
 
 class TestRevfpForward:
@@ -222,7 +215,8 @@ class TestRevfpForward:
     def test_boundary_rules_bitwise(self, mini_cfg):
         store = revfp_params(mini_cfg)
         C = extend_stem(synth_backbone(mini_cfg), store, mini_cfg)
-        with counting.probes() as seen:
+        seen = {}
+        with counting.probes(seen.__setitem__):
             out = revfp_forward(C, store, mini_cfg)
         assert np.array_equal(out[3].data, seen["p_prime/3"].data)
         lat = conv2d(C[7], store["lateral/7/weight"], store["lateral/7/bias"])

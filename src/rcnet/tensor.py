@@ -29,21 +29,34 @@ no tape op produced); each interior gradient is dropped as soon as its
 op's vjp has consumed it. A leaf gradient that is not finite when the
 sweep ends raises `NonFiniteError`, as a non-finite forward value does.
 
-Grad-ownership rule: each gradient is written once. A later gradient is
-added in place, which is bitwise the out-of-place sum; narrow's vjp adds
-its slice into the input's grad. An interior first gradient is stored
-without a copy, views included, when it is writeable float64 and shares
-no memory with a gradient handed to another input of the same op (the
-one array `add` gives both inputs, or overlapping slices). A leaf's
-first gradient is stored without a copy only if it also owns its data
-and is C-contiguous, so a leaf's `.grad` always owns writeable,
-C-contiguous data; anything else is copied. An add in place writes only
-memory its own cell holds, since every vjp returns new memory or a view
-of its op's output grad and no two cells hold overlapping grads. When one
-tensor is an input of an op twice, the second add writes into the op's
-output grad; no later vjp of that op reads that part of it (the ops whose
-vjps return views have two inputs, or are concat, whose vjps read
-disjoint slices), and a new op must keep it so.
+Grad-ownership rule: gradients are copy-on-write. An interior first
+gradient is stored as the vjp returned it, views and read-only
+broadcasts (tsum's, global_avg_pool's) included. When it shares memory
+with a gradient already handed to another input of the same op (the one
+array `add` gives both inputs, or overlapping slices), both cells keep
+that memory read-only: the array already handed is marked read-only and
+the new one is stored as a read-only view. A later gradient is added in
+place into a writeable grad and out of place into a read-only one; both
+are the same IEEE sum, so the bits do not depend on which it was.
+narrow's vjp adds its slice into the input's grad, after copying the
+grad if it is read-only. A leaf's first gradient is stored without a
+copy only if it is writeable float64, owns its data, is C-contiguous and
+shares no memory with a gradient handed to another input; anything else
+is copied, and a leaf's grad is never marked read-only, so a leaf's
+`.grad` always owns writeable, C-contiguous data. A writeable grad is
+then memory its own cell alone holds: every vjp returns new memory or a
+view of its op's output grad, and an output grad is read-only wherever
+another cell holds it. When one tensor is an input of an op twice, the
+second add may write into the op's output grad; no later vjp of that op
+reads that part of it (the ops whose vjps return views have two inputs,
+or are concat, whose vjps read disjoint slices), and a new op must keep
+it so.
+
+A broadcast operand's mul vjp reduces `g * other` in slices along an
+axis it keeps (`_unbroadcast_product`), so no full-size product is
+formed only to be summed away; each output element sums the same
+products in the same order as the whole product, so the bits are the
+same.
 
 conv2d picks its kernel by shape. A stride-1 conv with a kernel larger
 than 1x1 and fewer output than input channels (the one-channel FGU logit
@@ -314,40 +327,62 @@ def _sweep_node(node: _Node, interior: set):
     g, out.grad = out.grad, None
     if g is None:
         return
-    handed: list[np.ndarray] = []  # the grads already given to this op's inputs
+    handed: list[tuple[np.ndarray, bool]] = []  # grads this op's inputs hold uncopied
     for cell, vjp in zip(ins, vjps):
         if cell.requires_grad:
-            handed.append(_accumulate(cell, vjp(g), cell in interior, handed))
+            _accumulate(cell, vjp(g), cell in interior, handed)
 
 
-def _accumulate(cell: _GradCell, gt, interior: bool, handed: list) -> np.ndarray:
-    """Add the vjp result `gt` into `cell.grad`, writing it once; return the array handed over.
+def _accumulate(cell: _GradCell, gt, interior: bool, handed: list) -> None:
+    """Add the vjp result `gt` into `cell.grad`, copy-on-write.
 
-    A later grad is added in place. A first grad is kept uncopied when it
-    is writeable float64 and shares no memory with a grad `handed` to
-    another input of the same op; a leaf's must also own its data and be
-    C-contiguous. Anything else is copied into a new C-ordered array.
+    A later grad is added in place into a writeable grad and out of place
+    into a read-only one (the same IEEE sum); the `(index, g)` form copies
+    a read-only grad before adding into its slice. A first grad is stored
+    uncopied when it is float64 and the cell is interior, read-only
+    broadcasts included; a leaf's must also be writeable, own its data, be
+    C-contiguous and share no memory with a grad in `handed`. When an
+    interior first grad shares memory with an interior cell's grad in
+    `handed` (the arrays stored uncopied for this op's earlier inputs,
+    each with whether a leaf holds it), that grad is marked read-only and
+    this one stored read-only. Anything else, and memory a leaf holds, is
+    copied into a new C-ordered array.
     """
     if isinstance(gt, tuple):  # (index, g): the grad is g at index and zero elsewhere
         index, gt = gt
         if cell.grad is None:
             cell.grad = np.zeros(cell.shape)
+        elif not cell.grad.flags.writeable:
+            cell.grad = np.array(cell.grad, order="C")
         cell.grad[index] += gt
-        return gt
+        return
     if gt.shape != cell.shape:
         raise TapeError(f"gradient shape {gt.shape} != tensor shape {cell.shape}")
     if cell.grad is not None:
-        cell.grad += gt
-    elif (
-        gt.flags.writeable
-        and gt.dtype == np.float64
-        and (interior or (gt.flags.owndata and gt.flags.c_contiguous))
-        and not any(np.shares_memory(gt, h) for h in handed)
-    ):
-        cell.grad = gt
+        if cell.grad.flags.writeable:
+            cell.grad += gt
+        else:
+            cell.grad = cell.grad + gt
+        return
+    shared = [(h, leaf) for h, leaf in handed if np.shares_memory(gt, h)]
+    if interior:
+        keep = gt.dtype == np.float64 and not any(leaf for _, leaf in shared)
     else:
+        flags = gt.flags
+        keep = (
+            flags.writeable and flags.owndata and flags.c_contiguous
+            and gt.dtype == np.float64 and not shared
+        )
+    if not keep:
         cell.grad = np.array(gt, dtype=np.float64, order="C")
-    return gt
+        return
+    if shared:
+        for h, _ in shared:
+            h.flags.writeable = False
+        gt = gt.view()
+        gt.flags.writeable = False
+    cell.grad = gt
+    handed.append((gt, not interior))
 
 
 def _finite(op: str, arr: np.ndarray) -> np.ndarray:
@@ -386,6 +421,47 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
+def _unbroadcast_product(g: np.ndarray, other: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """`_unbroadcast(g * other, shape)`, reduced in slices of about `_PASS_BLOCK` products.
+
+    No full-size product is formed only to be summed away. The slices run
+    along the longest axis that `shape` keeps (the outermost of equal
+    ones) out of those that every reduced axis follows, or that every
+    reduced axis precedes with a kept axis longer than 1 still after it.
+    Each output element then sums the same products in the same order as
+    in the whole product, with the same `sum` call. numpy orders the sum
+    otherwise for large products sliced along a kept axis between two
+    reduced ones, or along the last axis longer than 1 behind reduced
+    ones, so those axes are never the slice axis. Where `shape` has fewer
+    axes than g, reduces none, or has no such axis, or the product is one
+    slice or less, this is `_unbroadcast(g * other, shape)` itself.
+    """
+    if g.ndim != len(shape) or g.size <= _PASS_BLOCK:
+        return _unbroadcast(g * other, shape)
+    axes = tuple(i for i, (gd, sd) in enumerate(zip(g.shape, shape)) if sd == 1 and gd != 1)
+    kept = [
+        i
+        for i, (gd, sd) in enumerate(zip(g.shape, shape))
+        if gd == sd > 1
+        and axes
+        and (i < axes[0] or (i > axes[-1] and max(g.shape[i + 1 :], default=1) > 1))
+    ]
+    if not kept:
+        return _unbroadcast(g * other, shape)
+    axis = max(kept, key=lambda i: g.shape[i])
+    other = other.reshape((1,) * (g.ndim - other.ndim) + other.shape)  # a view
+    step = max(1, _PASS_BLOCK * g.shape[axis] // g.size)
+    out = np.empty(shape, dtype=np.float64)
+    at = [slice(None)] * g.ndim
+    for s0, s1 in _blocks(g.shape[axis], step):
+        at[axis] = slice(s0, s1)
+        sl = tuple(at)
+        out[sl] = (g[sl] * (other if other.shape[axis] == 1 else other[sl])).sum(
+            axis=axes, keepdims=True
+        )
+    return out
+
+
 # ---------------------------------------------------------------------------
 # elementwise and broadcasting ops
 
@@ -414,8 +490,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         "mul",
         ad * bd,
         [
-            (a, lambda g: _unbroadcast(g * bd, ad.shape)),
-            (b, lambda g: _unbroadcast(g * ad, bd.shape)),
+            (a, lambda g: _unbroadcast_product(g, bd, ad.shape)),
+            (b, lambda g: _unbroadcast_product(g, ad, bd.shape)),
         ],
     )
 
@@ -1033,7 +1109,7 @@ def global_avg_pool(x: Tensor) -> Tensor:
     inv = 1.0 / (H * W)
     shape = x.shape
     return _make(
-        "global_avg_pool", out, [(x, lambda g: np.broadcast_to(g * inv, shape).copy())]
+        "global_avg_pool", out, [(x, lambda g: np.broadcast_to(g * inv, shape))]
     )
 
 

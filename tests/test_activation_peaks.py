@@ -18,9 +18,10 @@ import tracemalloc
 
 import pytest
 
-from rcnet import csn, fixtures, revfp
+from rcnet import csn, fixtures, revfp, tensor
 from rcnet.checks import run_invariants
 from rcnet.config import desk_config
+from rcnet.rng import SplitMix64
 
 MiB = 2**20
 
@@ -58,6 +59,34 @@ def test_rcnet_forward_peak(desk):
     # the aggregate's residual kept the widened stack alive; 13.0 now
     cfg, rp, cp, C = desk
     assert _peak_mib(lambda: csn.rcnet_forward(C, cfg, rp, cp)) < 14.0
+
+
+def test_rcnet_forward_backward_peak(desk):
+    # a loss like the paper-train workload's; 48.8 MiB while backward
+    # copied each grad that add hands to both inputs or that tsum and the
+    # global pool broadcast, and formed a broadcast operand's whole mul
+    # product only to sum it away; 43.9 now
+    cfg, rp, cp, C = desk
+    projs = {
+        i: SplitMix64(i).standard_normal((cfg.batch, cfg.d) + cfg.resolution(i))
+        for i in cfg.levels()
+    }
+    params = rp.tensors() + cp.tensors()
+
+    def pass_():
+        with tensor.Tape() as tape:
+            out = csn.rcnet_forward(C, cfg, rp, cp)
+            loss = None
+            for i in cfg.levels():
+                term = tensor.tsum(tensor.mul(out[i], tensor.Tensor(projs[i])))
+                loss = term if loss is None else tensor.add(loss, term)
+        tensor.backward(tape, loss)
+        return out
+
+    peak = _peak_mib(pass_)
+    for t in params:
+        t.grad = None
+    assert peak < 46.5, f"{peak:.2f} MiB"
 
 
 @pytest.mark.parametrize(

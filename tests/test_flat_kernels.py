@@ -274,3 +274,85 @@ def test_im2col_equals_per_element(k, padding, stride):
                     assert same_bytes(got, want), (h, w, r0, r1)
                     cases += 1
     assert cases
+
+
+# ---------------------------------------------------------------------------
+# sliced broadcast reduction (mul's vjp for a broadcast operand)
+
+
+def moderate(shape, seed):
+    """Normals scaled by 10**e, e uniform in [-8, 8], so every product stays finite."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+
+
+def slices_taken(monkeypatch, g, other, shape):
+    """`_unbroadcast_product(g, other, shape)` and how many slices it reduced (0: none)."""
+    seen = []
+
+    def blocks(n, step):
+        taken = list(real(n, step))
+        seen.extend(taken)
+        return taken
+
+    real = tensor._blocks
+    monkeypatch.setattr(tensor, "_blocks", blocks)
+    return tensor._unbroadcast_product(g, other, shape), len(seen)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize(
+    "stack, weights, sliced_at_1",
+    [
+        # the CSN context weights: per (channel, scale), and per (channel, pixel)
+        ((40, 5, 23, 19), (40, 5, 1, 1), True),
+        ((40, 5, 23, 19), (40, 1, 23, 19), True),
+        # the same with h*w above numpy's 8192-element buffer
+        ((6, 5, 96, 91), (6, 5, 1, 1), True),
+        ((6, 5, 96, 91), (6, 1, 96, 91), True),
+        # the FGU weights per pixel, and the fusion gate per sample
+        ((24, 90, 39), (1, 90, 39), True),
+        ((8, 130, 127), (1, 130, 127), True),
+        ((24, 90, 39), (1, 1, 1), False),
+    ],
+    ids=["scale", "spatial", "scale-wide", "spatial-wide", "fgu", "fgu-wide", "gate"],
+)
+def test_sliced_reduction_equals_whole_product(monkeypatch, n, stack, weights, sliced_at_1):
+    # at least two slices, and no extent a multiple of the slice, so the
+    # last slice takes a remainder; the gate keeps an axis only at n > 1
+    g, other = moderate((n,) + stack, seed=n), moderate((n,) + stack, seed=10 + n)
+    shape = (n,) + weights
+    want = tensor._unbroadcast(g * other, shape)
+    got, slices = slices_taken(monkeypatch, g, other, shape)
+    assert same_bytes(got, want)
+    assert (slices > 1) == (sliced_at_1 or n > 1)
+    # the grad a tsum or a global pool hands over is a read-only broadcast
+    g = np.broadcast_to(moderate((n,) + weights, seed=20 + n), g.shape)
+    assert same_bytes(tensor._unbroadcast_product(g, other, shape), tensor._unbroadcast(g * other, shape))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_fgu_temperature_takes_the_whole_product(monkeypatch, n):
+    # the temperature (1,) has fewer axes than the logits: no slices
+    g, other = moderate((n, 1, 190, 181), seed=30 + n), moderate((1,), seed=40)
+    got, slices = slices_taken(monkeypatch, g, other, (1,))
+    assert slices == 0
+    assert same_bytes(got, tensor._unbroadcast(g * other, (1,)))
+
+
+def test_sliced_reduction_on_seeded_shapes():
+    # numpy sums a large product in another order when it is sliced between
+    # two reduced axes, or along the last axis behind reduced ones; these
+    # shapes reach both, which must fall back, and every axis that may slice
+    rng = np.random.default_rng(2024)
+    for case in range(120):
+        nd = int(rng.integers(2, 6))
+        dims = [int(v) for v in rng.integers(1, 12, nd)]
+        for k in rng.integers(0, nd, 2):
+            dims[k] *= int(rng.integers(2, 40))
+        if np.prod(dims) > 1_000_000:
+            continue
+        shape = tuple(1 if rng.random() < 0.4 else v for v in dims)
+        g, other = moderate(tuple(dims), seed=case), moderate(tuple(dims), seed=1000 + case)
+        want = tensor._unbroadcast(g * other, shape)
+        assert same_bytes(tensor._unbroadcast_product(g, other, shape), want), (dims, shape)

@@ -20,6 +20,8 @@ from rcnet.tensor import (
     Tape,
     TapeError,
     Tensor,
+    _GradCell,
+    _accumulate,
     _make,
     add,
     add_scalar,
@@ -881,6 +883,95 @@ class TestTape:
         assert seen[1] == (3, ["thread1", "thread1/op1"])
 
 
+class TestCopyOnWrite:
+    """Interior grads share memory read-only; a later grad never writes into a shared one."""
+
+    def test_narrow_into_a_read_only_grad_copies_it_first(self):
+        # t's first grad is the read-only broadcast that tsum(b) hands
+        # through add; narrow then adds its slice into it
+        x = Tensor(rand((2, 3), seed=60), requires_grad=True)
+        u = Tensor(rand((2, 3), seed=61), requires_grad=True)
+        with Tape() as tape:
+            t = scale(x, 2.0)
+            a = narrow(t, 1, 0, 2)
+            b = add(t, u)
+            loss = add(tsum(a), tsum(b))
+        backward(tape, loss)
+        assert np.array_equal(x.grad, [[4.0, 4.0, 2.0], [4.0, 4.0, 2.0]])
+        assert np.array_equal(u.grad, np.ones((2, 3)))
+        for leaf in (x, u):
+            flags = leaf.grad.flags
+            assert flags.owndata and flags.c_contiguous and flags.writeable
+
+    @pytest.mark.parametrize("interior", [False, True], ids=["leaf", "interior"])
+    @pytest.mark.parametrize("head", ["mul", "tsum"], ids=["owned-grad", "broadcast-grad"])
+    def test_add_of_a_tensor_to_itself(self, interior, head):
+        # add hands one array twice to one cell: in place into an owned
+        # grad, out of place into tsum's read-only broadcast
+        x = Tensor(rand((3, 4), seed=62), requires_grad=True)
+        p = rand((3, 4), seed=63)
+        with Tape() as tape:
+            y = scale(x, 1.0) if interior else x
+            z = add(y, y)
+            loss = tsum(mul(z, Tensor(p))) if head == "mul" else tsum(z)
+        backward(tape, loss)
+        want = p + p if head == "mul" else np.full((3, 4), 2.0)
+        assert np.array_equal(x.grad, want)
+
+    def test_broadcast_grad_then_a_second_grad(self):
+        # y's first grad is tsum's read-only broadcast; mul's grad is then
+        # added out of place, the same sum as in place
+        x = Tensor(rand((3, 4), seed=64), requires_grad=True)
+        p = rand((3, 4), seed=65)
+        with Tape() as tape:
+            y = scale(x, 1.0)
+            loss = add(tsum(mul(y, Tensor(p))), tsum(y))
+        backward(tape, loss)
+        assert np.array_equal(x.grad, np.ones((3, 4)) + p)
+        assert x.grad.flags.owndata and x.grad.flags.writeable
+
+    def test_a_shared_grad_never_changes_when_the_other_cell_accumulates(self):
+        # add hands g to y and z; y then gets mul's grad. Written in place,
+        # z's grad (and so w's) would read p + q
+        x = Tensor(rand((3, 4), seed=66), requires_grad=True)
+        w = Tensor(rand((3, 4), seed=67), requires_grad=True)
+        p, q = rand((3, 4), seed=68), rand((3, 4), seed=69)
+        with Tape() as tape:
+            y, z = scale(x, 1.0), scale(w, 1.0)
+            m = mul(y, Tensor(q))
+            s = add(y, z)
+            loss = add(tsum(m), tsum(mul(s, Tensor(p))))
+        backward(tape, loss)
+        assert np.array_equal(w.grad, p)
+        assert np.array_equal(x.grad, p + q)
+
+    def test_cells_that_share_a_grad_hold_it_read_only(self):
+        a, b = _GradCell((3,), True, None), _GradCell((3,), True, None)
+        g = np.ones(3)
+        handed = []
+        _accumulate(a, g, True, handed)
+        _accumulate(b, g, True, handed)
+        assert np.shares_memory(a.grad, b.grad)
+        assert not a.grad.flags.writeable and not b.grad.flags.writeable
+        _accumulate(a, np.full(3, 2.0), True, [])
+        _accumulate(b, ((slice(0, 1),), np.ones(1)), True, [])
+        assert np.array_equal(a.grad, [3.0, 3.0, 3.0])
+        assert np.array_equal(b.grad, [2.0, 1.0, 1.0])
+        assert np.array_equal(g, [1.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("leaf_first", [True, False], ids=["leaf-first", "leaf-second"])
+    def test_memory_a_leaf_holds_is_never_marked_read_only(self, leaf_first):
+        leaf, cell = _GradCell((3,), True, None), _GradCell((3,), True, None)
+        g = np.ones(3)
+        handed = []
+        for c in (leaf, cell) if leaf_first else (cell, leaf):
+            _accumulate(c, g, c is cell, handed)
+        assert leaf.grad.flags.writeable and leaf.grad.flags.owndata
+        assert not np.shares_memory(leaf.grad, cell.grad)
+        leaf.grad += 1.0
+        assert np.array_equal(cell.grad, [1.0, 1.0, 1.0])
+
+
 def _tensors_held(obj, seen=None) -> list:
     """Every Tensor reachable from `obj` through containers and closures."""
     seen = set() if seen is None else seen
@@ -976,8 +1067,10 @@ class TestTapeRetention:
             lambda x: pad2d(x, 1, 2, 0, 1),
             lambda x: conv2d(x, Tensor(rand((5, 4, 3, 3), seed=85)), Tensor(np.zeros(5)), padding=1),
             lambda x: conv2d(x, Tensor(rand((2, 4, 3, 3), seed=86)), Tensor(np.zeros(2)), padding=1),
+            global_avg_pool,
         ],
-        ids=["narrow", "concat", "reshape", "transpose", "pad2d", "conv3x3", "conv3x3_narrow"],
+        ids=["narrow", "concat", "reshape", "transpose", "pad2d", "conv3x3", "conv3x3_narrow",
+             "global_avg_pool"],
     )
     def test_leaf_grads_own_c_contiguous_data(self, build):
         # interior grads may be views of a consumer's grad; a leaf's may not

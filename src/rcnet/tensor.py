@@ -12,19 +12,37 @@ its own tape.
 
 Retention rule: the tape keeps only what backward reads, and only until
 backward has read it. Each tensor has a grad cell (its shape,
-`requires_grad`, `grad` and name); a tape node holds the cells of an op's
-output and inputs plus one vjp per input, and each vjp closes over the
-arrays it reads and nothing else: never a `Tensor`. An intermediate whose
-data no vjp reads (the output of add, reshape, narrow, concat, transpose
-or the upsample, or the conv output in front of channel_norm, whose vjp
-reads only its own normalized x) is freed as soon as the forward drops
-it. `requires_grad` is read from the cells when backward runs.
+`requires_grad`, `grad`, name and recipe); a tape node holds the cells of
+an op's output and inputs plus one vjp per input, and each vjp closes
+over the arrays it reads and nothing else: never a `Tensor`. An
+intermediate whose data no vjp reads (the output of add, reshape, narrow,
+concat, transpose or the upsample, or the conv output in front of
+channel_norm, whose vjp reads only its own normalized x) is freed as soon
+as the forward drops it. `requires_grad` is read from the cells when
+backward runs.
+
+Recipe rule: under a recording tape, four ops give their output a recipe,
+a closure that rebuilds the output's data in backward from arrays the
+tape keeps anyway. `mul` always has one (its vjps keep both operands);
+`add` only when both inputs have one; `relu` only when its input has one;
+`channel_norm` from its kept xh and gamma/beta. A recipe repeats the
+forward's own numpy calls in the same order, so its rebuild is bitwise
+the output, and it calls raw numpy, never a Tensor op, so nothing is
+taped, counted or finite-checked twice. A vjp that reads an input's data
+(both conv2d kernels' weight vjps, mul's vjps, maxpool2d's) reads it
+through the input's recipe when it has one, so the tape lets that
+output go: the revfp blends and guided maps, the norms under the max
+pools and in front of a blend, and csn's relu output. Only elementwise
+outputs are rebuilt, never a conv, and no chain in the neck is read at
+more than two links. Without a tape, or when no input requires grad, no
+output has a recipe, so a tape-free forward frees each map at its last
+read; `backward` drops every recipe from the cells of the tape it sweeps.
 
 The reverse sweep consumes the tape. `backward` takes the nodes off the
 tape, so a tape is swept once, and frees each node, with its cells, its
 vjps and the arrays they read, as soon as its vjps have run: an array
-only the tape kept is freed while the sweep goes on. Nothing is
-recomputed. After `backward`, `.grad` is kept on leaves only (tensors that
+only the tape kept is freed while the sweep goes on. After `backward`,
+`.grad` is kept on leaves only (tensors that
 no tape op produced); each interior gradient is dropped as soon as its
 op's vjp has consumed it. A leaf gradient that is not finite when the
 sweep ends raises `NonFiniteError`, as a non-finite forward value does.
@@ -173,15 +191,20 @@ class TapeError(RuntimeError):
 
 
 class _GradCell:
-    """What the tape keeps of a tensor: its shape, `requires_grad`, `grad` and name."""
+    """What the tape keeps of a tensor: its shape, `requires_grad`, `grad`, name and recipe.
 
-    __slots__ = ("shape", "requires_grad", "grad", "name")
+    The recipe, set only by an op recorded on a tape, rebuilds the tensor's
+    data bitwise from arrays the tape keeps (see the module docstring).
+    """
+
+    __slots__ = ("shape", "requires_grad", "grad", "name", "recipe")
 
     def __init__(self, shape: tuple[int, ...], requires_grad: bool, name: str | None):
         self.shape = shape
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
         self.name = name
+        self.recipe: Callable[[], np.ndarray] | None = None
 
 
 class Tensor:
@@ -309,6 +332,8 @@ def backward(tape: Tape, loss: Tensor):
         raise TapeError("loss is not on the tape (detached graph)")
     tape._spent = True
     tape._nodes = []
+    for out, _, _ in nodes:
+        out.recipe = None  # the vjps hold what they read; a tensor kept past backward holds none
     del nodes[idx + 1 :]  # ops recorded after the loss do not reach it
     interior = {out for out, _, _ in nodes}  # every other cell is a leaf here
     leaves = {cell: None for _, ins, _ in nodes for cell in ins if cell not in interior}
@@ -395,7 +420,8 @@ def _make(op: str, data: np.ndarray, vjps: Sequence[tuple[Tensor, Callable]]) ->
     """Finalize an op: finite-check, note params, record on the active tape.
 
     The tape keeps the inputs' grad cells and the vjps; each op binds what
-    its vjps read (arrays, shapes) to locals, so no vjp holds a `Tensor`.
+    its vjps read (arrays, shapes, recipes) to locals, so no vjp holds a
+    `Tensor`.
     """
     _finite(op, data)
     for t, _ in vjps:
@@ -409,6 +435,24 @@ def _make(op: str, data: np.ndarray, vjps: Sequence[tuple[Tensor, Callable]]) ->
             (out._cell, tuple(t._cell for t, _ in vjps), tuple(vjp for _, vjp in vjps))
         )
     return out
+
+
+def _with_recipe(out: Tensor, recipe: Callable[[], np.ndarray]) -> Tensor:
+    """Give `out` its recipe if a tape recorded the op that made it; else none."""
+    if out.requires_grad:  # set, on an op's output, only by recording it
+        out._cell.recipe = recipe
+    return out
+
+
+def _kept(t: Tensor):
+    """What a vjp keeps to read `t.data`: t's recipe if it has one, else the array."""
+    recipe = t._cell.recipe
+    return t.data if recipe is None else recipe
+
+
+def _read(kept) -> np.ndarray:
+    """The data a `_kept` result stands for: the array, or its recipe's rebuild."""
+    return kept if isinstance(kept, np.ndarray) else kept()
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -468,11 +512,13 @@ def _unbroadcast_product(g: np.ndarray, other: np.ndarray, shape: tuple[int, ...
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     sa, sb = a.shape, b.shape
-    return _make(
+    ra, rb = a._cell.recipe, b._cell.recipe
+    out = _make(
         "add",
         a.data + b.data,
         [(a, lambda g: _unbroadcast(g, sa)), (b, lambda g: _unbroadcast(g, sb))],
     )
+    return out if ra is None or rb is None else _with_recipe(out, lambda: ra() + rb())
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -485,15 +531,17 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    ad, bd = a.data, b.data
-    return _make(
+    ka, kb = _kept(a), _kept(b)
+    sa, sb = a.shape, b.shape
+    out = _make(
         "mul",
-        ad * bd,
+        a.data * b.data,
         [
-            (a, lambda g: _unbroadcast_product(g, bd, ad.shape)),
-            (b, lambda g: _unbroadcast_product(g, ad, bd.shape)),
+            (a, lambda g: _unbroadcast_product(g, _read(kb), sa)),
+            (b, lambda g: _unbroadcast_product(g, _read(ka), sb)),
         ],
     )
+    return _with_recipe(out, lambda: _read(ka) * _read(kb))
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
@@ -546,9 +594,11 @@ def sigmoid(a: Tensor) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0  # subgradient 0 at 0
+    ra = a._cell.recipe
     # on a tie np.maximum returns its second operand, so -0.0 gives 0.0 as
     # np.where(mask, x, 0.0) did; a NaN passes on, and the finite check raises
-    return _make("relu", np.maximum(a.data, 0.0), [(a, lambda g: g * mask)])
+    out = _make("relu", np.maximum(a.data, 0.0), [(a, lambda g: g * mask)])
+    return out if ra is None else _with_recipe(out, lambda: np.maximum(ra(), 0.0))
 
 
 def tsum(a: Tensor, axes: tuple[int, ...] | None = None, keepdims: bool = False) -> Tensor:
@@ -697,25 +747,25 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     taps = [(i, j) for i in range(kh) for j in range(kw)]
     pointwise = kh == kw == 1 and stride == 1 and padding == 0
     K, P = Cin * kh * kw, Hp * Wp
-    xd, wd = x.data, weight.data
+    kx, wd = _kept(x), weight.data
     wmat = wd.reshape(Cout, K)
     rows, chans = _conv_blocks(Cout, Cin, kh * kw, Hp, Wp)
 
-    def im2col(r0, r1, c0, c1):  # [N, (c1-c0)*kh*kw, (r1-r0)*Wp]
+    def im2col(xd, r0, r1, c0, c1):  # [N, (c1-c0)*kh*kw, (r1-r0)*Wp]
         return _im2col(xd[:, c0:c1], kh, kw, stride, padding, r0, r1, Wp)
 
     if pointwise:  # x itself is the im2col; a view when x is contiguous
-        out = np.matmul(wmat, xd.reshape(N, Cin, P)).reshape(N, Cout, Hp, Wp)
+        out = np.matmul(wmat, x.data.reshape(N, Cin, P)).reshape(N, Cout, Hp, Wp)
     else:  # each block's GEMM writes its rows of the NCHW output
         out = np.empty((N, Cout, Hp, Wp), dtype=np.float64)
         for r0, r1 in _blocks(Hp, rows):
             dst = out[:, :, r0:r1].reshape(N, Cout, (r1 - r0) * Wp)  # a view
-            np.matmul(wmat, im2col(r0, r1, 0, Cin), out=dst)
+            np.matmul(wmat, im2col(x.data, r0, r1, 0, Cin), out=dst)
     out += bias.data[:, None, None]
 
     # Neither vjp reads a buffer kept from the forward: the weight vjp keeps
-    # x's data and rebuilds the im2col buffer from it, and the input vjp
-    # holds one tap's [N, Cin, Hp, Wp] product at a time.
+    # x's data, or its recipe, and rebuilds the im2col buffer from it, and
+    # the input vjp holds one tap's [N, Cin, Hp, Wp] product at a time.
     def vjp_x(g):
         g = g.reshape(N, Cout, P)
         if pointwise:
@@ -732,12 +782,13 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
 
     def vjp_w(g):
         g = g.reshape(N, Cout, P)
+        xd = _read(kx)
         if pointwise:
             gw = np.matmul(g, xd.reshape(N, Cin, P).transpose(0, 2, 1))  # [N, Cout, K]
         else:  # each channel block's GEMM writes its columns of gw
             gw = np.empty((N, Cout, K), dtype=np.float64)
             for c0, c1 in _blocks(Cin, chans):
-                cols = im2col(0, Hp, c0, c1).transpose(0, 2, 1)
+                cols = im2col(xd, 0, Hp, c0, c1).transpose(0, 2, 1)
                 np.matmul(g, cols, out=gw[:, :, c0 * kh * kw : c1 * kh * kw])
         gwt = np.empty(wd.shape)  # owned, so the leaf keeps it without a copy
         np.sum(gw, axis=0, out=gwt.reshape(Cout, K))
@@ -894,7 +945,7 @@ def _conv2d_channel_first(x, weight, bias, padding, Hp, Wp) -> Tensor:
     N, Cin, H, W = x.shape
     Cout, _, kh, kw = weight.shape
     K = Cout * kh * kw
-    xd = x.data
+    kx = _kept(x)
     wk = weight.data.transpose(0, 2, 3, 1).reshape(K, Cin)  # rows ordered (o, i, j)
     spans = [
         (i, j, _tap_span(i, padding, H, Hp), _tap_span(j, padding, W, Wp))
@@ -902,7 +953,7 @@ def _conv2d_channel_first(x, weight, bias, padding, Hp, Wp) -> Tensor:
         for j in range(kw)
     ]
 
-    z = np.matmul(wk, xd.reshape(N, Cin, H * W)).reshape(N, Cout, kh, kw, H, W)
+    z = np.matmul(wk, x.data.reshape(N, Cin, H * W)).reshape(N, Cout, kh, kw, H, W)
     out = np.zeros((N, Cout, Hp, Wp), dtype=np.float64)
     for i, j, (oy, iy), (ox, ix) in spans:
         out[:, :, oy, ox] += z[:, :, i, j, iy, ix]
@@ -920,7 +971,7 @@ def _conv2d_channel_first(x, weight, bias, padding, Hp, Wp) -> Tensor:
         return gx
 
     def vjp_w(g):
-        gw = np.tensordot(scatter(g), xd.reshape(N, Cin, H * W), axes=([0, 2], [0, 2]))
+        gw = np.tensordot(scatter(g), _read(kx).reshape(N, Cin, H * W), axes=([0, 2], [0, 2]))
         return gw.reshape(Cout, kh, kw, Cin).transpose(0, 3, 1, 2)
 
     return _make(
@@ -1063,7 +1114,10 @@ def maxpool2d(x: Tensor) -> Tensor:
         for i, j in taps[1:]:
             np.maximum(window(xd, i, j), out, out=out)
 
+    kx = _kept(x)
+
     def vjp(g):
+        xd = _read(kx)
         gx = np.zeros(xd.shape)
         unrouted = np.ones(out.shape, dtype=bool)
         for i, j in taps:
@@ -1153,9 +1207,14 @@ def channel_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     var = out.sum(axis=axes, keepdims=True) * inv
     den = np.sqrt(var + NORM_EPS)
     xh /= den
-    g4 = gamma.data.reshape(1, C, 1, 1)
+    g4, b4 = gamma.data.reshape(1, C, 1, 1), beta.data.reshape(1, C, 1, 1)
     np.multiply(xh, g4, out=out)
-    out += beta.data.reshape(1, C, 1, 1)
+    out += b4
+
+    def recipe():  # the output from the kept xh, by the same two calls
+        y = xh * g4
+        y += b4
+        return y
 
     # Neither vjp reads x: its data is not kept.
     def vjp_x(g):
@@ -1167,7 +1226,7 @@ def channel_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         gx *= -(g4 / den)
         return gx
 
-    return _make(
+    out = _make(
         "channel_norm",
         out,
         [
@@ -1176,6 +1235,7 @@ def channel_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
             (beta, lambda g: g.sum(axis=axes)),
         ],
     )
+    return _with_recipe(out, recipe)
 
 
 def _channel_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

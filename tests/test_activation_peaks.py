@@ -15,7 +15,9 @@ level's 3x3 conv, where every live map is read later, so it never moved.
 """
 
 import tracemalloc
+import types
 
+import numpy as np
 import pytest
 
 from rcnet import csn, fixtures, revfp, tensor
@@ -61,32 +63,109 @@ def test_rcnet_forward_peak(desk):
     assert _peak_mib(lambda: csn.rcnet_forward(C, cfg, rp, cp)) < 14.0
 
 
-def test_rcnet_forward_backward_peak(desk):
-    # a loss like the paper-train workload's; 48.8 MiB while backward
-    # copied each grad that add hands to both inputs or that tsum and the
-    # global pool broadcast, and formed a broadcast operand's whole mul
-    # product only to sum it away; 43.9 now
-    cfg, rp, cp, C = desk
-    projs = {
-        i: SplitMix64(i).standard_normal((cfg.batch, cfg.d) + cfg.resolution(i))
+@pytest.fixture(scope="module")
+def projs(desk):
+    cfg = desk[0]
+    return {
+        i: tensor.Tensor(SplitMix64(i).standard_normal((cfg.batch, cfg.d) + cfg.resolution(i)))
         for i in cfg.levels()
     }
-    params = rp.tensors() + cp.tensors()
 
+
+def _rcnet_loss(desk, projs):
+    """The taped rcnet forward under a loss like the paper-train workload's."""
+    cfg, rp, cp, C = desk
+    out = csn.rcnet_forward(C, cfg, rp, cp)
+    loss = None
+    for i in cfg.levels():
+        term = tensor.tsum(tensor.mul(out[i], projs[i]))
+        loss = term if loss is None else tensor.add(loss, term)
+    return out, loss
+
+
+def test_rcnet_forward_backward_peak(desk, projs):
+    # 48.8 MiB while backward copied each grad that add hands to both
+    # inputs or that tsum and the global pool broadcast, and formed a
+    # broadcast operand's whole mul product only to sum it away; 43.9 while
+    # the tape kept the outputs of mul, the blends, the norms under the max
+    # pools and csn's relu instead of their recipes; 32.1 now
     def pass_():
         with tensor.Tape() as tape:
-            out = csn.rcnet_forward(C, cfg, rp, cp)
-            loss = None
-            for i in cfg.levels():
-                term = tensor.tsum(tensor.mul(out[i], tensor.Tensor(projs[i])))
-                loss = term if loss is None else tensor.add(loss, term)
+            out, loss = _rcnet_loss(desk, projs)
         tensor.backward(tape, loss)
         return out
 
     peak = _peak_mib(pass_)
-    for t in params:
+    _, rp, cp, _ = desk
+    for t in rp.tensors() + cp.tensors():
         t.grad = None
-    assert peak < 46.5, f"{peak:.2f} MiB"
+    assert peak < 34.0, f"{peak:.2f} MiB"
+
+
+def _array_bytes(obj, skip: set, seen: set) -> int:
+    """Bytes of the distinct buffers reachable from `obj` through containers and closures.
+
+    A view counts as its base buffer, once; buffers whose id is in `skip`
+    are left out.
+    """
+    if isinstance(obj, np.ndarray):
+        while isinstance(obj.base, np.ndarray):
+            obj = obj.base
+    if id(obj) in seen or id(obj) in skip:
+        return 0
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if isinstance(obj, types.FunctionType):
+        inner = [c.cell_contents for c in obj.__closure__ or ()]
+    elif isinstance(obj, (list, tuple)):
+        inner = obj
+    else:
+        return 0
+    return sum(_array_bytes(o, skip, seen) for o in inner)
+
+
+def test_rcnet_tape_bytes_after_the_forward(desk, projs):
+    # what the tape alone keeps, less the parameters and the inputs: 37.8
+    # MiB while it kept the fusion blends, the guided maps, the revfp
+    # outputs under the max pools and csn's relu output; 26.0 now
+    _, rp, cp, C = desk
+    leaves = [t.data for t in rp.tensors() + cp.tensors()] + [C[i].data for i in C.levels]
+    leaves += [t.data for t in projs.values()]
+    skip = {id(a.base if isinstance(a.base, np.ndarray) else a) for a in leaves}
+    with tensor.Tape() as tape:
+        out, loss = _rcnet_loss(desk, projs)
+    del out, loss
+    held = _array_bytes(tape._nodes, skip, set()) / MiB
+    assert held < 28.0, f"{held:.2f} MiB"
+
+
+def test_each_recipe_runs_a_fixed_number_of_times_per_backward(desk, projs, monkeypatch):
+    # a recipe rebuilds its inputs' recipes on every call, so a chain read
+    # at each link would rebuild its head once per link; the neck's chains
+    # are at most norm -> mul -> add (the blend) and norm -> relu
+    runs: list[int] = []
+    real = tensor._with_recipe
+
+    def counted(out, recipe):
+        k = len(runs)
+        runs.append(0)
+
+        def run():
+            runs[k] += 1
+            return recipe()
+
+        return real(out, run)
+
+    monkeypatch.setattr(tensor, "_with_recipe", counted)
+    with tensor.Tape() as tape:
+        _, loss = _rcnet_loss(desk, projs)
+    assert runs and not any(runs)  # the forward runs none
+    tensor.backward(tape, loss)
+    _, rp, cp, _ = desk
+    for t in rp.tensors() + cp.tensors():
+        t.grad = None
+    assert max(runs) <= 2, sorted(runs)[-5:]
 
 
 @pytest.mark.parametrize(

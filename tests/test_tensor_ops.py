@@ -1106,3 +1106,156 @@ class TestTapeRetention:
             want[:, 2 * b : 2 * b + 2] += q
         assert np.array_equal(x.grad, want)
         assert x.grad.flags.owndata and x.grad.flags.c_contiguous
+
+
+# ---------------------------------------------------------------------------
+# recipes: outputs rebuilt in backward from what the tape keeps
+
+
+def _rebuilt_bitwise(t: Tensor) -> bool:
+    """Whether `t`'s recipe rebuilds its data byte for byte, shape and layout too."""
+    rebuilt = t._cell.recipe()
+    return (
+        rebuilt.shape == t.shape
+        and rebuilt.dtype == t.data.dtype
+        and rebuilt.strides == t.data.strides
+        and rebuilt.tobytes() == t.data.tobytes()
+    )
+
+
+def _leaf(shape, seed, grad=True) -> Tensor:
+    return Tensor(rand(shape, seed=seed), requires_grad=grad)
+
+
+class TestRecipes:
+    """Under a tape, mul, add, relu and channel_norm outputs carry a recipe that rebuilds them bitwise."""
+
+    @pytest.mark.parametrize(
+        "sa, sb",
+        [
+            ((2, 3, 4, 5), (2, 3, 4, 5)),
+            ((2, 3, 4, 5), (1, 3, 1, 1)),
+            ((1, 3, 1, 1), (2, 3, 4, 5)),
+            ((2, 1, 1, 1), (2, 3, 4, 5)),
+            ((2, 3, 4, 5), (3, 4, 5)),
+            ((1,), (2, 3, 4, 5)),
+        ],
+        ids=["same", "broadcast-b", "broadcast-a", "gate-a", "fewer-axes-b", "scalar-a"],
+    )
+    def test_mul(self, sa, sb):
+        a, b = _leaf(sa, 101), _leaf(sb, 102)
+        with Tape():
+            y = mul(a, b)
+            z = mul(y, _leaf(sb, 103, grad=False))  # y is read through its recipe
+        assert _rebuilt_bitwise(y) and _rebuilt_bitwise(z)
+
+    def test_add_of_two_recipes(self):
+        # the revfp blend: w * current + (1 - w) * other
+        w = _leaf((2, 1, 1, 1), 104)
+        current, other = _leaf((2, 4, 6, 6), 105), _leaf((2, 4, 6, 6), 106)
+        with Tape():
+            x = add(mul(w, current), mul(sub(Tensor(1.0), w), other))
+        assert _rebuilt_bitwise(x)
+
+    def test_relu_keeps_the_zero_tie_rule(self):
+        # products of signed zeros give -0.0 and 0.0; relu turns both into
+        # 0.0, and the rebuild must too, sign bit included
+        a = Tensor(np.array([-1.0, 1.0, -0.0, 0.0, 2.0, -3.0, -2.0, 0.5]), requires_grad=True)
+        b = Tensor(np.array([0.0, -0.0, 1.0, -1.0, -0.0, 0.0, 1.5, 2.0]))
+        with Tape():
+            p = mul(a, b)
+            y = relu(p)
+        assert np.signbit(p.data).any()  # the tie is really there
+        assert _rebuilt_bitwise(y)
+        assert not np.signbit(y._cell.recipe()).any()
+
+    def test_channel_norm_and_the_chains_on_it(self):
+        x = Tensor(rand((2, 5, 6, 7), seed=107) * 3.0 + 1.0, requires_grad=True)
+        gamma, beta = _leaf((5,), 108), _leaf((5,), 109)
+        w = _leaf((2, 1, 1, 1), 110)
+        with Tape():
+            y = channel_norm(x, gamma, beta)
+            r = relu(y)
+            blend = add(mul(w, y), mul(sub(Tensor(1.0), w), r))
+        for t in (y, r, blend):
+            assert _rebuilt_bitwise(t)
+
+    def test_no_recipe_without_a_tape(self):
+        x = _leaf((2, 3, 4, 4), 111)
+        ones, zeros = Tensor(np.ones(3), requires_grad=True), Tensor(np.zeros(3), requires_grad=True)
+        outs = [mul(x, x), relu(x), channel_norm(x, ones, zeros)]
+        outs.append(add(outs[0], outs[2]))
+        outs.append(relu(outs[0]))
+        assert all(t._cell.recipe is None for t in outs)
+
+    def test_no_recipe_when_no_input_requires_grad(self):
+        x = _leaf((2, 3, 4, 4), 112, grad=False)
+        ones, zeros = Tensor(np.ones(3)), Tensor(np.zeros(3))
+        with Tape() as tape:
+            outs = [mul(x, x), relu(x), channel_norm(x, ones, zeros)]
+            outs.append(add(outs[0], outs[2]))
+        assert len(tape) == 0
+        assert all(t._cell.recipe is None for t in outs)
+
+    def test_add_and_relu_need_recipes_on_their_inputs(self):
+        # their rebuild would otherwise keep data no vjp keeps
+        x, u = _leaf((2, 3), 113), _leaf((2, 3), 114)
+        with Tape():
+            m = mul(x, u)
+            outs = [add(x, u), add(m, u), add(u, m), relu(x), relu(add(x, u))]
+        assert all(t._cell.recipe is None for t in outs)
+        assert m._cell.recipe is not None
+
+    def test_backward_drops_every_recipe(self):
+        x, u = _leaf((2, 3), 115), _leaf((2, 3), 116)
+        with Tape() as tape:
+            m = mul(x, u)
+            loss = tsum(m)
+            after = relu(m)  # recorded after the loss
+        assert m._cell.recipe is not None and after._cell.recipe is not None
+        backward(tape, loss)
+        assert m._cell.recipe is None and after._cell.recipe is None
+
+    @pytest.mark.parametrize(
+        "consumer, weight_shape",
+        [
+            ("conv", (5, 4, 3, 3)),  # the im2col kernel
+            ("conv", (2, 4, 3, 3)),  # the channel-first kernel
+            ("conv", (4, 4, 1, 1)),  # pointwise
+            ("maxpool", None),
+            ("mul", (1, 4, 1, 1)),
+        ],
+        ids=["conv-im2col", "conv-channel-first", "conv-pointwise", "maxpool", "mul"],
+    )
+    def test_vjps_read_a_rebuilt_input_bitwise_and_do_not_keep_it(self, consumer, weight_shape):
+        # every leaf grad equals the one through a reshape, whose output
+        # has no recipe and so is kept; through the recipe the tape lets
+        # the norm's output go
+        def run(rebuilt: bool):
+            leaves = [
+                Tensor(rand((2, 4, 6, 6), seed=117), requires_grad=True),
+                Tensor(rand((4,), seed=118), requires_grad=True),
+                Tensor(rand((4,), seed=119), requires_grad=True),
+            ]
+            if weight_shape is not None:
+                leaves.append(Tensor(rand(weight_shape, seed=120), requires_grad=True))
+            with Tape() as tape:
+                y = channel_norm(*leaves[:3])
+                if not rebuilt:
+                    y = reshape(y, y.shape)  # a view of the output, with no recipe
+                held = weakref.ref(y.data.base if y.data.base is not None else y.data)
+                if consumer == "conv":
+                    out = conv2d(y, leaves[3], Tensor(np.zeros(weight_shape[0])),
+                                 padding=weight_shape[2] // 2)
+                elif consumer == "maxpool":
+                    out = maxpool2d(y)
+                else:
+                    out = mul(y, leaves[3])
+                loss = tsum(mul(out, Tensor(rand(out.shape, seed=121))))
+            del y
+            assert (held() is None) == rebuilt
+            backward(tape, loss)
+            return [t.grad for t in leaves]
+
+        for got, want in zip(run(True), run(False)):
+            assert got.tobytes() == want.tobytes()

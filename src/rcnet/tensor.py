@@ -12,31 +12,53 @@ its own tape.
 
 Retention rule: the tape keeps only what backward reads, and only until
 backward has read it. Each tensor has a grad cell (its shape,
-`requires_grad`, `grad`, name and recipe); a tape node holds the cells of
-an op's output and inputs plus one vjp per input, and each vjp closes
-over the arrays it reads and nothing else: never a `Tensor`. An
-intermediate whose data no vjp reads (the output of add, reshape, narrow,
-concat, transpose or the upsample, or the conv output in front of
-channel_norm, whose vjp reads only its own normalized x) is freed as soon
-as the forward drops it. `requires_grad` is read from the cells when
-backward runs.
+`requires_grad`, `grad` and name); a tape node holds the cells of an
+op's output and inputs plus one vjp per input, and each vjp closes over
+the arrays (or recipes) it reads and nothing else: never a `Tensor`. An
+intermediate whose data no vjp reads (the output of add, reshape,
+narrow, concat, transpose or the upsample, or the conv output in front
+of channel_norm, whose vjp reads only its own normalized x) is freed as
+soon as the forward drops it. `requires_grad` is read from the cells
+when backward runs, except that a vjp which reads a rebuilt input keeps
+it only if its own input required grad when the op was recorded.
 
-Recipe rule: under a recording tape, four ops give their output a recipe,
-a closure that rebuilds the output's data in backward from arrays the
-tape keeps anyway. `mul` always has one (its vjps keep both operands);
-`add` only when both inputs have one; `relu` only when its input has one;
-`channel_norm` from its kept xh and gamma/beta. A recipe repeats the
+Arrays a tape keeps must not change until `backward` has swept it: the
+vjps read the forward's inputs as they are at the sweep, and a recipe
+rebuilds its output from them then, so an input written in place in
+between (`w.data[:] = ...`) changes the gradients silently. Nothing
+detects it.
+
+Recipe rule: under a recording tape, five ops give their output a
+recipe (`_Recipe`) that rebuilds its data in backward from arrays the
+tape keeps anyway, or that only a rebuild reads. `mul` always has one
+(its vjps keep both operands); `add` only when both inputs have one;
+`relu` only when its input has one; `channel_norm` from its kept xh and
+gamma/beta; `bilinear_upsample_x2` from its input. A recipe repeats the
 forward's own numpy calls in the same order, so its rebuild is bitwise
 the output, and it calls raw numpy, never a Tensor op, so nothing is
 taped, counted or finite-checked twice. A vjp that reads an input's data
 (both conv2d kernels' weight vjps, mul's vjps, maxpool2d's) reads it
 through the input's recipe when it has one, so the tape lets that
-output go: the revfp blends and guided maps, the norms under the max
-pools and in front of a blend, and csn's relu output. Only elementwise
-outputs are rebuilt, never a conv, and no chain in the neck is read at
-more than two links. Without a tape, or when no input requires grad, no
+output go: the revfp blends and guided maps and the upsamples under
+them, the norms under the max pools and in front of a blend, and csn's
+relu output. Only elementwise outputs and upsamples are rebuilt, never
+a conv.
+
+A recipe is held by its output tensor alone until a reader asks for it:
+a vjp that will run (its input requires grad), or the recipe of a
+reader that has been asked. So a recipe never pins an input that no vjp
+reads, and an output the forward drops unread frees its recipe's input.
+Each ask counts one read at record time, and the first makes the recipe
+ask its own recipe inputs. In backward a recipe runs at most once: the
+first read keeps the rebuild on the recipe until the last counted read
+takes it, so a chain costs one rebuild per link, however many links or
+vjps read it. A rebuild allocates no buffer it does not return: the add
+and relu recipes write into their input's rebuild when no other read
+gets that array. Without a tape, or when no input requires grad, no
 output has a recipe, so a tape-free forward frees each map at its last
-read; `backward` drops every recipe from the cells of the tape it sweeps.
+read; `backward` takes every recipe off the tensors of the tape it
+sweeps, so a tensor kept past backward pins nothing, and a rebuild dies
+with the last node that reads it.
 
 The reverse sweep consumes the tape. `backward` takes the nodes off the
 tape, so a tape is swept once, and frees each node, with its cells, its
@@ -86,8 +108,12 @@ better when Cout >= Cin. That path runs np.matmul on [N, K, P] views
 takes the bias in place, the weight vjp is g @ cols^T on views, and a
 1x1 stride-1 conv reads a view of x and gets its input vjp from one
 matmul. Neither path keeps a buffer on the tape: the im2col weight vjp
-rebuilds its buffer from the input data it holds, and the im2col input
-vjp accumulates kernel tap by kernel tap.
+rebuilds its buffer from the input data it holds, one channel block at a
+time, each freed before the next is built, and the im2col input vjp
+accumulates kernel tap by kernel tap. A conv's weight vjp runs before its
+input vjp, so the input's grad is not yet live while the weight vjp
+rebuilds the input; at batch 1 the weight vjp's GEMM writes the weight
+grad itself, with no batch sum into a second array.
 
 The im2col buffer is built one block at a time, by one fill routine that
 copies each tap's in-bounds span straight from x and zeroes only the
@@ -140,6 +166,7 @@ from __future__ import annotations
 
 import ctypes
 import os
+import weakref
 from contextvars import ContextVar
 from typing import Callable, Iterable, Sequence
 
@@ -191,20 +218,52 @@ class TapeError(RuntimeError):
 
 
 class _GradCell:
-    """What the tape keeps of a tensor: its shape, `requires_grad`, `grad`, name and recipe.
+    """What the tape keeps of a tensor: its shape, `requires_grad`, `grad` and name."""
 
-    The recipe, set only by an op recorded on a tape, rebuilds the tensor's
-    data bitwise from arrays the tape keeps (see the module docstring).
-    """
-
-    __slots__ = ("shape", "requires_grad", "grad", "name", "recipe")
+    __slots__ = ("shape", "requires_grad", "grad", "name")
 
     def __init__(self, shape: tuple[int, ...], requires_grad: bool, name: str | None):
         self.shape = shape
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
         self.name = name
-        self.recipe: Callable[[], np.ndarray] | None = None
+
+
+class _Recipe:
+    """Rebuilds a tensor's data in backward, bitwise, at most once a sweep.
+
+    `build()` repeats the forward's numpy calls on `srcs`, the arrays and
+    recipes it reads, reading each once. Only the tensor holds its recipe
+    until a reader asks for it (see the module docstring): `ask` counts
+    one more read the sweep will make, and the first makes the recipe
+    count its own read of each source. The first `take` keeps the rebuild
+    in `rebuilt` until the last counted read takes it.
+    """
+
+    __slots__ = ("build", "srcs", "reads", "rebuilt")
+
+    def __init__(self, build: Callable[[], np.ndarray], srcs: tuple):
+        self.build = build
+        self.srcs = srcs
+        self.reads = 0
+        self.rebuilt: np.ndarray | None = None
+
+    def ask(self) -> None:
+        self.reads += 1
+        if self.reads == 1:
+            for src in self.srcs:
+                if isinstance(src, _Recipe):
+                    src.ask()
+
+    def take(self) -> tuple[np.ndarray, bool]:
+        """The rebuilt data, and whether no other read gets this array (so the caller may write it)."""
+        arr = self.rebuilt
+        sole = arr is None and self.reads <= 1
+        if arr is None:
+            arr = self.build()
+        self.reads -= 1
+        self.rebuilt = arr if self.reads > 0 else None
+        return arr, sole
 
 
 class Tensor:
@@ -218,11 +277,12 @@ class Tensor:
     leaf whose gradient is not finite.
     """
 
-    __slots__ = ("data", "_cell")
+    __slots__ = ("data", "_cell", "_recipe", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         self.data = np.asarray(data, dtype=np.float64)
         self._cell = _GradCell(self.data.shape, requires_grad, name)
+        self._recipe: _Recipe | None = None  # set only by an op a tape recorded
 
     @property
     def name(self) -> str | None:
@@ -277,17 +337,22 @@ class Tape:
     One tape may record at a time in each thread (or other execution
     context); a second `with` inside the first raises. `backward` sweeps a
     tape once: it takes the nodes off the tape and frees each one as soon
-    as its vjps have run, so afterwards the tape is empty and spent. The
-    tape holds grad cells and the arrays its vjps read, never a `Tensor`.
+    as its vjps have run, so afterwards the tape is empty and spent, and
+    recording onto it again raises. The tape holds grad cells and the
+    arrays its vjps read, never a `Tensor`.
     """
 
     def __init__(self):
         self._nodes: list[_Node] = []
         self._spent = False
+        # the outputs given a recipe, weakly: backward takes their recipes
+        self._recipes: list[weakref.ref] = []
 
     def __enter__(self) -> "Tape":
         if _ACTIVE_TAPE.get() is not None:
             raise TapeError("a tape is already recording; nested tapes are not allowed")
+        if self._spent:
+            raise TapeError("backward already swept this tape; record on a new Tape")
         _ACTIVE_TAPE.set(self)
         return self
 
@@ -305,9 +370,10 @@ _ACTIVE_TAPE: ContextVar[Tape | None] = ContextVar("rcnet_active_tape", default=
 def backward(tape: Tape, loss: Tensor):
     """Reverse-sweep `tape`, accumulating dLoss/dLeaf into leaf `.grad`s.
 
-    `loss` must be a scalar produced on this tape. A tape is swept once:
-    the sweep takes its nodes, so a second `backward` on it raises, and so
-    does one after a sweep that raised part way.
+    `loss` must be a scalar `Tensor` produced on this `Tape`. A tape is
+    swept once: the sweep takes its nodes, so a second `backward` on it
+    raises, and so does one after a sweep that raised part way, or an op
+    recorded onto it afterwards.
 
     Each node is dropped, with its grad cells and its vjps and the arrays
     they read, as soon as its vjps have run; an array only the tape kept
@@ -318,6 +384,10 @@ def backward(tape: Tape, loss: Tensor):
     producer's vjp are live at any point of the sweep. A leaf gradient
     that ends the sweep non-finite raises `NonFiniteError`.
     """
+    if not isinstance(tape, Tape):
+        raise TapeError(f"backward needs a Tape, got {type(tape).__name__}")
+    if not isinstance(loss, Tensor):
+        raise TapeError(f"loss must be a Tensor, got {type(loss).__name__}")
     if loss.size != 1:
         raise TapeError(f"loss must be scalar, got shape {loss.shape}")
     if tape._spent:
@@ -332,8 +402,11 @@ def backward(tape: Tape, loss: Tensor):
         raise TapeError("loss is not on the tape (detached graph)")
     tape._spent = True
     tape._nodes = []
-    for out, _, _ in nodes:
-        out.recipe = None  # the vjps hold what they read; a tensor kept past backward holds none
+    for ref in tape._recipes:  # the vjps hold what they read; a tensor kept past backward holds none
+        t = ref()
+        if t is not None:
+            t._recipe = None
+    tape._recipes = []
     del nodes[idx + 1 :]  # ops recorded after the loss do not reach it
     interior = {out for out, _, _ in nodes}  # every other cell is a leaf here
     leaves = {cell: None for _, ins, _ in nodes for cell in ins if cell not in interior}
@@ -430,6 +503,8 @@ def _make(op: str, data: np.ndarray, vjps: Sequence[tuple[Tensor, Callable]]) ->
     out = Tensor(data)
     tape = _ACTIVE_TAPE.get()
     if tape is not None and any(t.requires_grad for t, _ in vjps):
+        if tape._spent:
+            raise TapeError("backward already swept this tape; record on a new Tape")
         out.requires_grad = True
         tape._nodes.append(
             (out._cell, tuple(t._cell for t, _ in vjps), tuple(vjp for _, vjp in vjps))
@@ -437,22 +512,43 @@ def _make(op: str, data: np.ndarray, vjps: Sequence[tuple[Tensor, Callable]]) ->
     return out
 
 
-def _with_recipe(out: Tensor, recipe: Callable[[], np.ndarray]) -> Tensor:
-    """Give `out` its recipe if a tape recorded the op that made it; else none."""
+def _with_recipe(out: Tensor, build: Callable[[], np.ndarray], *srcs) -> Tensor:
+    """Give `out` a recipe reading `srcs` if a tape recorded the op that made it; else none."""
     if out.requires_grad:  # set, on an op's output, only by recording it
-        out._cell.recipe = recipe
+        out._recipe = _Recipe(build, srcs)
+        _ACTIVE_TAPE.get()._recipes.append(weakref.ref(out))
     return out
 
 
 def _kept(t: Tensor):
-    """What a vjp keeps to read `t.data`: t's recipe if it has one, else the array."""
-    recipe = t._cell.recipe
-    return t.data if recipe is None else recipe
+    """What to keep to read `t.data`: t's recipe if it has one, else the array."""
+    return t.data if t._recipe is None else t._recipe
+
+
+def _vjp_read(kept, reader: Tensor):
+    """What the vjp that returns `reader`'s grad keeps to read a `_kept` result.
+
+    The vjp runs only if `reader` requires grad when the op is recorded.
+    Then a recipe counts its read; else the vjp keeps no recipe (None), so
+    no recipe pins what no vjp reads.
+    """
+    if isinstance(kept, _Recipe):
+        if not reader.requires_grad:
+            return None
+        kept.ask()
+    return kept
 
 
 def _read(kept) -> np.ndarray:
     """The data a `_kept` result stands for: the array, or its recipe's rebuild."""
-    return kept if isinstance(kept, np.ndarray) else kept()
+    if isinstance(kept, np.ndarray):
+        return kept
+    if kept is None:
+        raise TapeError(
+            "a vjp reads a rebuilt input it did not keep: its input's requires_grad "
+            "was off when the op was recorded"
+        )
+    return kept.take()[0]
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -512,13 +608,21 @@ def _unbroadcast_product(g: np.ndarray, other: np.ndarray, shape: tuple[int, ...
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     sa, sb = a.shape, b.shape
-    ra, rb = a._cell.recipe, b._cell.recipe
+    ra, rb = a._recipe, b._recipe
     out = _make(
         "add",
         a.data + b.data,
         [(a, lambda g: _unbroadcast(g, sa)), (b, lambda g: _unbroadcast(g, sb))],
     )
-    return out if ra is None or rb is None else _with_recipe(out, lambda: ra() + rb())
+    if ra is None or rb is None:
+        return out
+    shape = out.shape
+
+    def rebuild():  # into a's rebuild when no other read gets it
+        x, sole = ra.take()
+        return np.add(x, _read(rb), out=x if sole and x.shape == shape else None)
+
+    return _with_recipe(out, rebuild, ra, rb)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -532,16 +636,17 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     ka, kb = _kept(a), _kept(b)
+    va, vb = _vjp_read(kb, a), _vjp_read(ka, b)  # what a's and b's vjps read
     sa, sb = a.shape, b.shape
     out = _make(
         "mul",
         a.data * b.data,
         [
-            (a, lambda g: _unbroadcast_product(g, _read(kb), sa)),
-            (b, lambda g: _unbroadcast_product(g, _read(ka), sb)),
+            (a, lambda g: _unbroadcast_product(g, _read(va), sa)),
+            (b, lambda g: _unbroadcast_product(g, _read(vb), sb)),
         ],
     )
-    return _with_recipe(out, lambda: _read(ka) * _read(kb))
+    return _with_recipe(out, lambda: _read(ka) * _read(kb), ka, kb)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
@@ -594,11 +699,18 @@ def sigmoid(a: Tensor) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0  # subgradient 0 at 0
-    ra = a._cell.recipe
+    ra = a._recipe
     # on a tie np.maximum returns its second operand, so -0.0 gives 0.0 as
     # np.where(mask, x, 0.0) did; a NaN passes on, and the finite check raises
     out = _make("relu", np.maximum(a.data, 0.0), [(a, lambda g: g * mask)])
-    return out if ra is None else _with_recipe(out, lambda: np.maximum(ra(), 0.0))
+    if ra is None:
+        return out
+
+    def rebuild():  # into a's rebuild when no other read gets it
+        x, sole = ra.take()
+        return np.maximum(x, 0.0, out=x if sole else None)
+
+    return _with_recipe(out, rebuild, ra)
 
 
 def tsum(a: Tensor, axes: tuple[int, ...] | None = None, keepdims: bool = False) -> Tensor:
@@ -747,7 +859,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     taps = [(i, j) for i in range(kh) for j in range(kw)]
     pointwise = kh == kw == 1 and stride == 1 and padding == 0
     K, P = Cin * kh * kw, Hp * Wp
-    kx, wd = _kept(x), weight.data
+    kx, wd = _vjp_read(_kept(x), weight), weight.data
     wmat = wd.reshape(Cout, K)
     rows, chans = _conv_blocks(Cout, Cin, kh * kw, Hp, Wp)
 
@@ -765,7 +877,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
 
     # Neither vjp reads a buffer kept from the forward: the weight vjp keeps
     # x's data, or its recipe, and rebuilds the im2col buffer from it, and
-    # the input vjp holds one tap's [N, Cin, Hp, Wp] product at a time.
+    # the input vjp holds one tap's [N, Cin, Hp, Wp] product at a time. The
+    # weight vjp runs first, before the input's grad is live.
     def vjp_x(g):
         g = g.reshape(N, Cout, P)
         if pointwise:
@@ -783,21 +896,24 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     def vjp_w(g):
         g = g.reshape(N, Cout, P)
         xd = _read(kx)
+        gwt = np.empty(wd.shape)  # owned, so the leaf keeps it without a copy
+        # [N, Cout, K]; one sample's GEMM writes the weight grad itself
+        gw = gwt.reshape(1, Cout, K) if N == 1 else np.empty((N, Cout, K), dtype=np.float64)
         if pointwise:
-            gw = np.matmul(g, xd.reshape(N, Cin, P).transpose(0, 2, 1))  # [N, Cout, K]
+            np.matmul(g, xd.reshape(N, Cin, P).transpose(0, 2, 1), out=gw)
         else:  # each channel block's GEMM writes its columns of gw
-            gw = np.empty((N, Cout, K), dtype=np.float64)
-            for c0, c1 in _blocks(Cin, chans):
+            for c0, c1 in _blocks(Cin, chans):  # a block's buffer is freed before the next
                 cols = im2col(xd, 0, Hp, c0, c1).transpose(0, 2, 1)
                 np.matmul(g, cols, out=gw[:, :, c0 * kh * kw : c1 * kh * kw])
-        gwt = np.empty(wd.shape)  # owned, so the leaf keeps it without a copy
-        np.sum(gw, axis=0, out=gwt.reshape(Cout, K))
+                del cols
+        if N > 1:
+            np.sum(gw, axis=0, out=gwt.reshape(Cout, K))
         return gwt
 
     return _make(
         "conv2d",
         out,
-        [(x, vjp_x), (weight, vjp_w), (bias, lambda g: g.sum(axis=(0, 2, 3)))],
+        [(weight, vjp_w), (x, vjp_x), (bias, lambda g: g.sum(axis=(0, 2, 3)))],
     )
 
 
@@ -945,7 +1061,7 @@ def _conv2d_channel_first(x, weight, bias, padding, Hp, Wp) -> Tensor:
     N, Cin, H, W = x.shape
     Cout, _, kh, kw = weight.shape
     K = Cout * kh * kw
-    kx = _kept(x)
+    kx = _vjp_read(_kept(x), weight)
     wk = weight.data.transpose(0, 2, 3, 1).reshape(K, Cin)  # rows ordered (o, i, j)
     spans = [
         (i, j, _tap_span(i, padding, H, Hp), _tap_span(j, padding, W, Wp))
@@ -977,7 +1093,7 @@ def _conv2d_channel_first(x, weight, bias, padding, Hp, Wp) -> Tensor:
     return _make(
         "conv2d",
         out,
-        [(x, vjp_x), (weight, vjp_w), (bias, lambda g: g.sum(axis=(0, 2, 3)))],
+        [(weight, vjp_w), (x, vjp_x), (bias, lambda g: g.sum(axis=(0, 2, 3)))],
     )
 
 
@@ -990,10 +1106,13 @@ def bilinear_upsample_x2(x: Tensor) -> Tensor:
     """
     if x.ndim < 2:
         raise ValueError(f"bilinear_upsample_x2: need at least 2 axes, got {x.shape}")
-    out = _up2(_up2(x.data, -2), -1)
-    return _make(
-        "bilinear_upsample_x2", out, [(x, lambda g: _up2_adjoint(_up2_adjoint(g, -1), -2))]
+    kx = _kept(x)
+    out = _make(
+        "bilinear_upsample_x2",
+        _up2(_up2(x.data, -2), -1),
+        [(x, lambda g: _up2_adjoint(_up2_adjoint(g, -1), -2))],
     )
+    return _with_recipe(out, lambda: _up2(_up2(_read(kx), -2), -1), kx)
 
 
 def _up2(a: np.ndarray, axis: int) -> np.ndarray:
@@ -1114,7 +1233,7 @@ def maxpool2d(x: Tensor) -> Tensor:
         for i, j in taps[1:]:
             np.maximum(window(xd, i, j), out, out=out)
 
-    kx = _kept(x)
+    kx = _vjp_read(_kept(x), x)
 
     def vjp(g):
         xd = _read(kx)

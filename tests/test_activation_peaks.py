@@ -1,4 +1,4 @@
-"""Peak Python-heap bytes of one desk-width call, seed 7.
+"""Peak Python-heap bytes of one desk-width call, seed 7, and of one paper-width pass.
 
 A forward binds no activation past its last read, so its peak is the
 widest moment of the pass, not the sum of every stage it has run. Each
@@ -16,13 +16,14 @@ level's 3x3 conv, where every live map is read later, so it never moved.
 
 import tracemalloc
 import types
+import weakref
 
 import numpy as np
 import pytest
 
 from rcnet import csn, fixtures, revfp, tensor
 from rcnet.checks import run_invariants
-from rcnet.config import desk_config
+from rcnet.config import desk_config, paper_width
 from rcnet.rng import SplitMix64
 
 MiB = 2**20
@@ -83,23 +84,41 @@ def _rcnet_loss(desk, projs):
     return out, loss
 
 
+def _pass(desk, projs):
+    """One taped forward and backward; the parameters' grads are cleared after it."""
+    with tensor.Tape() as tape:
+        out, loss = _rcnet_loss(desk, projs)
+    tensor.backward(tape, loss)
+    _, rp, cp, _ = desk
+    for t in rp.tensors() + cp.tensors():
+        t.grad = None
+    return out
+
+
 def test_rcnet_forward_backward_peak(desk, projs):
     # 48.8 MiB while backward copied each grad that add hands to both
     # inputs or that tsum and the global pool broadcast, and formed a
     # broadcast operand's whole mul product only to sum it away; 43.9 while
     # the tape kept the outputs of mul, the blends, the norms under the max
-    # pools and csn's relu instead of their recipes; 32.1 now
-    def pass_():
-        with tensor.Tape() as tape:
-            out, loss = _rcnet_loss(desk, projs)
-        tensor.backward(tape, loss)
-        return out
+    # pools and csn's relu instead of their recipes; 32.2 while it kept the
+    # upsamples' outputs and a recipe ran once per read; 29.5 now
+    peak = _peak_mib(lambda: _pass(desk, projs))
+    assert peak < 31.0, f"{peak:.2f} MiB"
 
-    peak = _peak_mib(pass_)
-    _, rp, cp, _ = desk
-    for t in rp.tensors() + cp.tensors():
-        t.grad = None
-    assert peak < 34.0, f"{peak:.2f} MiB"
+
+def test_paper_width_forward_backward_peak():
+    # the largest pass the benchmark runs (paper-train, d = 256): 129.4 MiB
+    # while the tape kept the upsamples' outputs, a recipe ran once per
+    # read and each weight vjp held two im2col blocks; 116.5 now
+    cfg = paper_width(desk_config(seed=7))
+    rp, cp = revfp.revfp_params(cfg), csn.csn_params(cfg)
+    desk = (cfg, rp, cp, fixtures.prepare_inputs(cfg, rp))
+    projs = {
+        i: tensor.Tensor(SplitMix64(i).standard_normal((cfg.batch, cfg.d) + cfg.resolution(i)))
+        for i in cfg.levels()
+    }
+    peak = _peak_mib(lambda: _pass(desk, projs))
+    assert peak <= 120.0, f"{peak:.2f} MiB"
 
 
 def _array_bytes(obj, skip: set, seen: set) -> int:
@@ -116,7 +135,9 @@ def _array_bytes(obj, skip: set, seen: set) -> int:
     seen.add(id(obj))
     if isinstance(obj, np.ndarray):
         return obj.nbytes
-    if isinstance(obj, types.FunctionType):
+    if isinstance(obj, tensor._Recipe):
+        inner = [obj.build, obj.srcs, obj.rebuilt]
+    elif isinstance(obj, types.FunctionType):
         inner = [c.cell_contents for c in obj.__closure__ or ()]
     elif isinstance(obj, (list, tuple)):
         inner = obj
@@ -128,7 +149,8 @@ def _array_bytes(obj, skip: set, seen: set) -> int:
 def test_rcnet_tape_bytes_after_the_forward(desk, projs):
     # what the tape alone keeps, less the parameters and the inputs: 37.8
     # MiB while it kept the fusion blends, the guided maps, the revfp
-    # outputs under the max pools and csn's relu output; 26.0 now
+    # outputs under the max pools and csn's relu output; 26.0 while it kept
+    # the upsamples' outputs; 21.3 now
     _, rp, cp, C = desk
     leaves = [t.data for t in rp.tensors() + cp.tensors()] + [C[i].data for i in C.levels]
     leaves += [t.data for t in projs.values()]
@@ -137,25 +159,29 @@ def test_rcnet_tape_bytes_after_the_forward(desk, projs):
         out, loss = _rcnet_loss(desk, projs)
     del out, loss
     held = _array_bytes(tape._nodes, skip, set()) / MiB
-    assert held < 28.0, f"{held:.2f} MiB"
+    assert held < 23.0, f"{held:.2f} MiB"
 
 
 def test_each_recipe_runs_a_fixed_number_of_times_per_backward(desk, projs, monkeypatch):
-    # a recipe rebuilds its inputs' recipes on every call, so a chain read
-    # at each link would rebuild its head once per link; the neck's chains
-    # are at most norm -> mul -> add (the blend) and norm -> relu
+    # a recipe read by several vjps, or by the recipes of a chain on it
+    # (the revfp blend on the guided upsample, the gather's chained
+    # upsamples), keeps its rebuild between its first and its last read,
+    # and no longer: no rebuild outlives the sweep
     runs: list[int] = []
+    built: list[weakref.ref] = []
     real = tensor._with_recipe
 
-    def counted(out, recipe):
+    def counted(out, build, *srcs):
         k = len(runs)
         runs.append(0)
 
         def run():
             runs[k] += 1
-            return recipe()
+            arr = build()
+            built.append(weakref.ref(arr))
+            return arr
 
-        return real(out, run)
+        return real(out, run, *srcs)
 
     monkeypatch.setattr(tensor, "_with_recipe", counted)
     with tensor.Tape() as tape:
@@ -165,7 +191,8 @@ def test_each_recipe_runs_a_fixed_number_of_times_per_backward(desk, projs, monk
     _, rp, cp, _ = desk
     for t in rp.tensors() + cp.tensors():
         t.grad = None
-    assert max(runs) <= 2, sorted(runs)[-5:]
+    assert max(runs) <= 1, sorted(runs)[-5:]
+    assert built and not any(ref() is not None for ref in built)
 
 
 @pytest.mark.parametrize(

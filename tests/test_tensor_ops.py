@@ -9,7 +9,7 @@ import weakref
 import numpy as np
 import pytest
 
-from rcnet import counting
+from rcnet import counting, tensor
 from rcnet.csn import csn_params, rcnet_forward
 from rcnet.fixtures import extend_stem, synth_backbone
 from rcnet.gradcheck import check_gradients
@@ -21,6 +21,7 @@ from rcnet.tensor import (
     TapeError,
     Tensor,
     _GradCell,
+    _Recipe,
     _accumulate,
     _make,
     add,
@@ -234,6 +235,24 @@ class TestConv2d:
         got = conv2d(Tensor(x), Tensor(w), Tensor(b), stride, padding).data
         want = conv2d_loops(x, w, b, stride, padding)
         assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "wshape, padding", [((6, 4, 3, 3), 1), ((6, 4, 1, 1), 0)], ids=["im2col", "pointwise"]
+    )
+    def test_one_sample_weight_grad_is_half_a_duplicated_pair(self, wshape, padding):
+        # at N = 1 the weight vjp returns its GEMM output; at N = 2 it sums
+        # the per-sample GEMMs over the batch, and x + x is 2x exactly
+        x1, g1 = rand((1, 4, 6, 6), seed=150), rand((1, 6, 6, 6), seed=151)
+        grads = []
+        for n in (1, 2):
+            w = Tensor(rand(wshape, seed=152), requires_grad=True)
+            with Tape() as tape:
+                out = conv2d(Tensor(np.concatenate([x1] * n)), w, Tensor(np.zeros(6)), padding=padding)
+                loss = tsum(mul(out, Tensor(np.concatenate([g1] * n))))
+            backward(tape, loss)
+            grads.append(w.grad)
+        assert (2.0 * grads[0]).tobytes() == grads[1].tobytes()
+        assert grads[0].flags.owndata and grads[0].flags.c_contiguous
 
     def test_channel_mismatch_names_dimension(self):
         x = Tensor(np.zeros((1, 3, 5, 5)))
@@ -823,6 +842,63 @@ class TestTape:
                 with Tape():
                     pass
 
+    def test_a_spent_tape_cannot_record_again(self):
+        # its nodes would go where no sweep reaches: a second backward raises
+        x = Tensor(rand((2,), seed=31), requires_grad=True)
+        with Tape() as tape:
+            loss = tsum(x)
+        backward(tape, loss)
+        with pytest.raises(TapeError, match="swept this tape"):
+            with tape:
+                pass
+        assert len(tape) == 0
+        with Tape() as fresh:  # the failed entry left no tape recording
+            tsum(x)
+        assert len(fresh) == 1
+
+    def test_backward_inside_the_recording_block_ends_its_recording(self):
+        x = Tensor(rand((2,), seed=32), requires_grad=True)
+        with Tape() as tape:
+            loss = tsum(x)
+            backward(tape, loss)
+            with pytest.raises(TapeError, match="swept this tape"):
+                scale(x, 2.0)
+            scale(Tensor(rand((2,), seed=33)), 2.0)  # no input requires grad: not recorded
+        assert len(tape) == 0
+        assert np.array_equal(x.grad, np.ones(2))
+
+    def test_a_loss_that_is_not_a_tensor_is_rejected(self):
+        x = Tensor(rand((2,), seed=34), requires_grad=True)
+        with Tape() as tape:
+            loss = tsum(x)
+        with pytest.raises(TapeError, match="loss must be a Tensor, got float"):
+            backward(tape, 3.0)
+        backward(tape, loss)  # the rejected call did not spend the tape
+        assert np.array_equal(x.grad, np.ones(2))
+
+    def test_a_tape_that_is_not_a_tape_is_rejected(self):
+        x = Tensor(rand((2,), seed=35), requires_grad=True)
+        with Tape() as tape:
+            loss = tsum(x)
+        with pytest.raises(TapeError, match="backward needs a Tape, got str"):
+            backward("x", loss)
+        backward(tape, loss)
+        assert np.array_equal(x.grad, np.ones(2))
+
+    def test_a_kept_array_changed_before_backward_changes_the_grads(self):
+        # the contract: arrays a tape keeps must not change until backward.
+        # Nothing detects a change; this pins what one does today. At the
+        # forward's values a's grad is 2 w^2 a = [8, 16, 24]; the vjps read
+        # the changed w, and m's recipe rebuilds m = w * a from it too
+        w = Tensor(np.full(3, 2.0))
+        a = Tensor([1.0, 2.0, 3.0], requires_grad=True)
+        with Tape() as tape:
+            m = mul(w, a)
+            loss = tsum(mul(m, m))
+        w.data[:] = 5.0
+        backward(tape, loss)
+        assert np.array_equal(a.grad, [50.0, 100.0, 150.0])
+
     def test_no_tape_means_no_graph(self):
         x = Tensor(rand((2,), seed=27), requires_grad=True)
         out = tsum(x)
@@ -848,6 +924,17 @@ class TestTape:
         backward(tape, loss)
         assert a.grad is None
         assert np.array_equal(b.grad, a.data)
+
+    def test_a_grad_turned_on_for_a_vjp_that_reads_a_rebuilt_input_raises(self):
+        # b's vjp reads a * a, which has a recipe; b needed no grad when the
+        # op was recorded, so the vjp kept none
+        a = Tensor(rand((3, 4), seed=83), requires_grad=True)
+        b = Tensor(rand((3, 4), seed=84))
+        with Tape() as tape:
+            loss = tsum(mul(mul(a, a), b))
+        b.requires_grad = True
+        with pytest.raises(TapeError, match="requires_grad was off"):
+            backward(tape, loss)
 
     def test_two_threads_record_apart(self):
         # each thread records its own tape and collection while the other's
@@ -980,7 +1067,9 @@ def _tensors_held(obj, seen=None) -> list:
     seen.add(id(obj))
     if isinstance(obj, Tensor):
         return [obj]
-    if isinstance(obj, types.FunctionType):
+    if isinstance(obj, _Recipe):
+        inner = [obj.build, obj.srcs, obj.rebuilt]
+    elif isinstance(obj, types.FunctionType):
         inner = [c.cell_contents for c in obj.__closure__ or () if c.cell_contents is not None]
         inner += list(obj.__defaults__ or ())
     elif isinstance(obj, (list, tuple)):
@@ -1114,7 +1203,7 @@ class TestTapeRetention:
 
 def _rebuilt_bitwise(t: Tensor) -> bool:
     """Whether `t`'s recipe rebuilds its data byte for byte, shape and layout too."""
-    rebuilt = t._cell.recipe()
+    rebuilt = t._recipe.build()
     return (
         rebuilt.shape == t.shape
         and rebuilt.dtype == t.data.dtype
@@ -1128,7 +1217,7 @@ def _leaf(shape, seed, grad=True) -> Tensor:
 
 
 class TestRecipes:
-    """Under a tape, mul, add, relu and channel_norm outputs carry a recipe that rebuilds them bitwise."""
+    """Under a tape, mul, add, relu, channel_norm and upsample outputs carry a recipe that rebuilds them bitwise."""
 
     @pytest.mark.parametrize(
         "sa, sb",
@@ -1167,7 +1256,7 @@ class TestRecipes:
             y = relu(p)
         assert np.signbit(p.data).any()  # the tie is really there
         assert _rebuilt_bitwise(y)
-        assert not np.signbit(y._cell.recipe()).any()
+        assert not np.signbit(y._recipe.build()).any()
 
     def test_channel_norm_and_the_chains_on_it(self):
         x = Tensor(rand((2, 5, 6, 7), seed=107) * 3.0 + 1.0, requires_grad=True)
@@ -1186,7 +1275,7 @@ class TestRecipes:
         outs = [mul(x, x), relu(x), channel_norm(x, ones, zeros)]
         outs.append(add(outs[0], outs[2]))
         outs.append(relu(outs[0]))
-        assert all(t._cell.recipe is None for t in outs)
+        assert all(t._recipe is None for t in outs)
 
     def test_no_recipe_when_no_input_requires_grad(self):
         x = _leaf((2, 3, 4, 4), 112, grad=False)
@@ -1195,7 +1284,7 @@ class TestRecipes:
             outs = [mul(x, x), relu(x), channel_norm(x, ones, zeros)]
             outs.append(add(outs[0], outs[2]))
         assert len(tape) == 0
-        assert all(t._cell.recipe is None for t in outs)
+        assert all(t._recipe is None for t in outs)
 
     def test_add_and_relu_need_recipes_on_their_inputs(self):
         # their rebuild would otherwise keep data no vjp keeps
@@ -1203,8 +1292,8 @@ class TestRecipes:
         with Tape():
             m = mul(x, u)
             outs = [add(x, u), add(m, u), add(u, m), relu(x), relu(add(x, u))]
-        assert all(t._cell.recipe is None for t in outs)
-        assert m._cell.recipe is not None
+        assert all(t._recipe is None for t in outs)
+        assert m._recipe is not None
 
     def test_backward_drops_every_recipe(self):
         x, u = _leaf((2, 3), 115), _leaf((2, 3), 116)
@@ -1212,9 +1301,9 @@ class TestRecipes:
             m = mul(x, u)
             loss = tsum(m)
             after = relu(m)  # recorded after the loss
-        assert m._cell.recipe is not None and after._cell.recipe is not None
+        assert m._recipe is not None and after._recipe is not None
         backward(tape, loss)
-        assert m._cell.recipe is None and after._cell.recipe is None
+        assert m._recipe is None and after._recipe is None
 
     @pytest.mark.parametrize(
         "consumer, weight_shape",
@@ -1259,3 +1348,120 @@ class TestRecipes:
 
         for got, want in zip(run(True), run(False)):
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(2, 3, 4, 5), (1, 2, 3, 1, 1), (2, 1, 3)], ids=["4d", "5d", "3d"])
+    def test_upsample(self, shape):
+        x = _leaf(shape, 130)
+        with Tape():
+            y = bilinear_upsample_x2(x)  # from the kept array
+            z = bilinear_upsample_x2(mul(y, y))  # through a recipe
+            u = bilinear_upsample_x2(z)  # a chain of upsamples, as the csn gather's
+            v = bilinear_upsample_x2(narrow(x, x.ndim - 2, 0, 1))  # from a strided view
+        for t in (y, z, u, v):
+            assert _rebuilt_bitwise(t)
+
+    @pytest.mark.parametrize("read", [False, True], ids=["unread", "read"])
+    def test_upsample_keeps_its_input_only_once_a_vjp_reads_it(self, read):
+        # the recipe is on the output tensor alone until a vjp asks for it
+        x = _leaf((1, 2, 4, 4), 131)
+        p = _leaf((1, 4, 8, 8), 132, grad=read)
+        with Tape() as tape:
+            c = concat([x, x], 1)  # no vjp reads c
+            held = weakref.ref(c.data)
+            u = bilinear_upsample_x2(c)
+            loss = tsum(mul(u, p))  # if p requires grad, its vjp reads u
+        want = u.data.copy()
+        del c, u
+        assert (held() is not None) == read
+        backward(tape, loss)
+        assert held() is None
+        if read:  # d loss / d p is u, rebuilt from c
+            assert p.grad.tobytes() == want.tobytes()
+
+    def test_a_recipe_runs_once_and_its_rebuild_dies_with_the_sweep(self, monkeypatch):
+        # y is read by two vjps and by two recipes (relu's and the add's
+        # mul); each recipe runs at most once, and no rebuild outlives the
+        # sweep, including one whose last counted reader gets no grad
+        runs, built = [], []
+        real = tensor._with_recipe
+
+        def counted(out, build, *srcs):
+            k = len(runs)
+            runs.append(0)
+
+            def run():
+                runs[k] += 1
+                arr = build()
+                built.append(weakref.ref(arr))
+                return arr
+
+            return real(out, run, *srcs)
+
+        monkeypatch.setattr(tensor, "_with_recipe", counted)
+        x, gamma, beta = _leaf((2, 3, 4, 4), 133), _leaf((3,), 134), _leaf((3,), 135)
+        w, v = _leaf((2, 1, 1, 1), 136), _leaf((2, 3, 4, 4), 137)
+        with Tape() as tape:
+            y = channel_norm(x, gamma, beta)
+            side = mul(y, v)  # its node reaches no loss
+            blend = add(mul(w, y), mul(sub(Tensor(1.0), w), relu(y)))
+            loss = tsum(mul(blend, v))
+        del side
+        backward(tape, loss)
+        assert runs and max(runs) == 1
+        assert built and all(ref() is None for ref in built)
+
+    @pytest.mark.parametrize("graph", ["blend", "relu", "relu-shared", "add-shared"])
+    def test_add_and_relu_rebuild_in_place_only_as_the_sole_reader(self, graph):
+        # an add or relu rebuild writes into its input's rebuild when no
+        # other read gets that array; with a second reader it must not, or
+        # that reader would see the sum or the relu. Leaf grads match the
+        # graph that keeps every intermediate (a reshape view has no recipe)
+        def run(rebuilt: bool):
+            def keep(t):
+                return t if rebuilt else reshape(t, t.shape)
+
+            x, gamma, beta = _leaf((2, 3, 4, 4), 140), _leaf((3,), 141), _leaf((3,), 142)
+            w, q = _leaf((2, 1, 1, 1), 143), _leaf((2, 3, 4, 4), 144)
+            with Tape() as tape:
+                y = keep(channel_norm(x, gamma, beta))
+                if graph == "blend":  # into the first product's rebuild
+                    z = add(keep(mul(w, y)), keep(mul(sub(Tensor(1.0), w), y)))
+                elif graph == "relu":  # into y's rebuild
+                    z = relu(y)
+                elif graph == "relu-shared":  # relu's and the mul's recipes read y
+                    z = mul(y, keep(relu(y)))
+                else:  # the add's recipe, q's vjp and q * m's recipe read m
+                    m = keep(mul(w, y))
+                    z = add(m, keep(mul(q, m)))
+                loss = tsum(mul(keep(z), q))  # q's vjp reads z
+            backward(tape, loss)
+            return [t.grad for t in (x, gamma, beta, w, q)]
+
+        for got, want in zip(run(True), run(False)):
+            assert (got is None) == (want is None)
+            assert got is None or got.tobytes() == want.tobytes()
+
+    def test_add_and_relu_return_their_inputs_rebuild(self):
+        # as its only reader, a rebuild allocates no buffer it does not return
+        x, gamma, beta = _leaf((2, 3, 4, 4), 145), _leaf((3,), 146), _leaf((3,), 147)
+        w, q = _leaf((2, 1, 1, 1), 148), _leaf((2, 3, 4, 4), 149)
+        with Tape():
+            y = channel_norm(x, gamma, beta)
+            r = relu(y)  # r's recipe is y's only reader
+            a = mul(w, x)  # s's recipe is a's only reader
+            s = add(a, mul(w, q))
+            tsum(mul(r, q))  # q's vjps read r and s
+            tsum(mul(s, q))
+        built = {}
+        for t in (y, a):
+            build = t._recipe.build
+
+            def spy(build=build, key=id(t)):
+                built[key] = build()
+                return built[key]
+
+            t._recipe.build = spy
+        got = r._recipe.take()[0]
+        assert got is built[id(y)] and got.tobytes() == r.data.tobytes()
+        got = s._recipe.take()[0]
+        assert got is built[id(a)] and got.tobytes() == s.data.tobytes()

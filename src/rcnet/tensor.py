@@ -52,13 +52,12 @@ Each ask counts one read at record time, and the first makes the recipe
 ask its own recipe inputs. In backward a recipe runs at most once: the
 first read keeps the rebuild on the recipe until the last counted read
 takes it, so a chain costs one rebuild per link, however many links or
-vjps read it. A rebuild allocates no buffer it does not return: the add
-and relu recipes write into their input's rebuild when no other read
-gets that array. Without a tape, or when no input requires grad, no
-output has a recipe, so a tape-free forward frees each map at its last
-read; `backward` takes every recipe off the tensors of the tape it
-sweeps, so a tensor kept past backward pins nothing, and a rebuild dies
-with the last node that reads it.
+vjps read it. A rebuild never writes into an array it reads. Without a
+tape, or when no input requires grad, no output has a recipe, so a
+tape-free forward frees each map at its last read; `backward` takes
+every recipe off the tensors of the tape it sweeps, so a tensor kept
+past backward pins nothing, and a rebuild dies with the last node that
+reads it.
 
 The reverse sweep consumes the tape. `backward` takes the nodes off the
 tape, so a tape is swept once, and frees each node, with its cells, its
@@ -91,12 +90,6 @@ second add may write into the op's output grad; no later vjp of that op
 reads that part of it (the ops whose vjps return views have two inputs,
 or are concat, whose vjps read disjoint slices), and a new op must keep
 it so.
-
-A broadcast operand's mul vjp reduces `g * other` in slices along an
-axis it keeps (`_unbroadcast_product`), so no full-size product is
-formed only to be summed away; each output element sums the same
-products in the same order as the whole product, so the bits are the
-same.
 
 conv2d picks its kernel by shape. A stride-1 conv with a kernel larger
 than 1x1 and fewer output than input channels (the one-channel FGU logit
@@ -147,14 +140,13 @@ Flat spans. The memory-bound kernels run as a few long passes over whole
 arrays, not one short pass per row: the maps are 4 to 64 pixels wide, and
 numpy pays a fixed cost for every row it loops over. The upsample and its
 adjoint lay the lines along an axis end to end and form each shifted sum
-in one pass over a block of whole lines; the 2x2 max pool takes the
-column pairs of a block of rows in one flat pass, then the row pairs.
-Their blocks hold about `_PASS_BLOCK` elements, so the temporaries stay in
-cache between the passes. relu is one np.maximum; channel_norm's forward
-works in two buffers, not five; and a stride-1 im2col whose output rows
-are as wide as its input rows copies each tap as one span per channel
-plane. A shifted pass is wrong only where it crosses the edge of a line
-(a clamped upsample tap, an im2col column wrapped into the next row). The
+in one pass over a block of whole lines. The blocks hold about
+`_PASS_BLOCK` elements, so the temporaries stay in cache between the
+passes. relu is one np.maximum; channel_norm's forward works in two
+buffers, not five; and a stride-1 im2col whose output rows are as wide
+as its input rows copies each tap as one span per channel plane. A
+shifted pass is wrong only where it crosses the edge of a line (a
+clamped upsample tap, an im2col column wrapped into the next row). The
 rule a new kernel must keep: such an element is overwritten afterwards,
 from its own operands by the same operations in the same order as the
 per-row form, never corrected by arithmetic (taking the wrong term back
@@ -237,7 +229,8 @@ class _Recipe:
     until a reader asks for it (see the module docstring): `ask` counts
     one more read the sweep will make, and the first makes the recipe
     count its own read of each source. The first `take` keeps the rebuild
-    in `rebuilt` until the last counted read takes it.
+    in `rebuilt` until the last counted read takes it, so `build` must
+    return new memory and never write into a source's rebuild.
     """
 
     __slots__ = ("build", "srcs", "reads", "rebuilt")
@@ -255,15 +248,14 @@ class _Recipe:
                 if isinstance(src, _Recipe):
                     src.ask()
 
-    def take(self) -> tuple[np.ndarray, bool]:
-        """The rebuilt data, and whether no other read gets this array (so the caller may write it)."""
+    def take(self) -> np.ndarray:
+        """The rebuilt data: built on the first read, dropped at the last."""
         arr = self.rebuilt
-        sole = arr is None and self.reads <= 1
         if arr is None:
             arr = self.build()
         self.reads -= 1
         self.rebuilt = arr if self.reads > 0 else None
-        return arr, sole
+        return arr
 
 
 class Tensor:
@@ -548,7 +540,7 @@ def _read(kept) -> np.ndarray:
             "a vjp reads a rebuilt input it did not keep: its input's requires_grad "
             "was off when the op was recorded"
         )
-    return kept.take()[0]
+    return kept.take()
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -559,47 +551,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if axes:
         g = g.sum(axis=axes, keepdims=True)
     return g
-
-
-def _unbroadcast_product(g: np.ndarray, other: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """`_unbroadcast(g * other, shape)`, reduced in slices of about `_PASS_BLOCK` products.
-
-    No full-size product is formed only to be summed away. The slices run
-    along the longest axis that `shape` keeps (the outermost of equal
-    ones) out of those that every reduced axis follows, or that every
-    reduced axis precedes with a kept axis longer than 1 still after it.
-    Each output element then sums the same products in the same order as
-    in the whole product, with the same `sum` call. numpy orders the sum
-    otherwise for large products sliced along a kept axis between two
-    reduced ones, or along the last axis longer than 1 behind reduced
-    ones, so those axes are never the slice axis. Where `shape` has fewer
-    axes than g, reduces none, or has no such axis, or the product is one
-    slice or less, this is `_unbroadcast(g * other, shape)` itself.
-    """
-    if g.ndim != len(shape) or g.size <= _PASS_BLOCK:
-        return _unbroadcast(g * other, shape)
-    axes = tuple(i for i, (gd, sd) in enumerate(zip(g.shape, shape)) if sd == 1 and gd != 1)
-    kept = [
-        i
-        for i, (gd, sd) in enumerate(zip(g.shape, shape))
-        if gd == sd > 1
-        and axes
-        and (i < axes[0] or (i > axes[-1] and max(g.shape[i + 1 :], default=1) > 1))
-    ]
-    if not kept:
-        return _unbroadcast(g * other, shape)
-    axis = max(kept, key=lambda i: g.shape[i])
-    other = other.reshape((1,) * (g.ndim - other.ndim) + other.shape)  # a view
-    step = max(1, _PASS_BLOCK * g.shape[axis] // g.size)
-    out = np.empty(shape, dtype=np.float64)
-    at = [slice(None)] * g.ndim
-    for s0, s1 in _blocks(g.shape[axis], step):
-        at[axis] = slice(s0, s1)
-        sl = tuple(at)
-        out[sl] = (g[sl] * (other if other.shape[axis] == 1 else other[sl])).sum(
-            axis=axes, keepdims=True
-        )
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -616,13 +567,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     )
     if ra is None or rb is None:
         return out
-    shape = out.shape
-
-    def rebuild():  # into a's rebuild when no other read gets it
-        x, sole = ra.take()
-        return np.add(x, _read(rb), out=x if sole and x.shape == shape else None)
-
-    return _with_recipe(out, rebuild, ra, rb)
+    return _with_recipe(out, lambda: np.add(_read(ra), _read(rb)), ra, rb)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -642,8 +587,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         "mul",
         a.data * b.data,
         [
-            (a, lambda g: _unbroadcast_product(g, _read(va), sa)),
-            (b, lambda g: _unbroadcast_product(g, _read(vb), sb)),
+            (a, lambda g: _unbroadcast(g * _read(va), sa)),
+            (b, lambda g: _unbroadcast(g * _read(vb), sb)),
         ],
     )
     return _with_recipe(out, lambda: _read(ka) * _read(kb), ka, kb)
@@ -705,12 +650,7 @@ def relu(a: Tensor) -> Tensor:
     out = _make("relu", np.maximum(a.data, 0.0), [(a, lambda g: g * mask)])
     if ra is None:
         return out
-
-    def rebuild():  # into a's rebuild when no other read gets it
-        x, sole = ra.take()
-        return np.maximum(x, 0.0, out=x if sole else None)
-
-    return _with_recipe(out, rebuild, ra)
+    return _with_recipe(out, lambda: np.maximum(_read(ra), 0.0), ra)
 
 
 def tsum(a: Tensor, axes: tuple[int, ...] | None = None, keepdims: bool = False) -> Tensor:
@@ -1188,10 +1128,10 @@ def _up2_adjoint(g: np.ndarray, axis: int) -> np.ndarray:
     return gx.reshape(shape)
 
 
-#: Input elements per block of the flat-pass resampling kernels: a block's
-#: temporaries stay in a core's cache between the passes over it, and the
-#: calls a block costs are few against its passes. A block is made of whole
-#: lines (whole row pairs in the max pool); the last one takes the remainder.
+#: Input elements per block of the flat-pass upsample and its adjoint: a
+#: block's temporaries stay in a core's cache between the passes over it,
+#: and the calls a block costs are few against its passes. A block is made
+#: of whole lines; the last one takes the remainder.
 _PASS_BLOCK = 1 << 15
 
 
@@ -1204,14 +1144,12 @@ def _line_blocks(lines: np.ndarray, n: int):
 def maxpool2d(x: Tensor) -> Tensor:
     """The 2x2, stride-2 maximum over the trailing two axes of an NCHW tensor.
 
-    A contiguous input runs in flat passes (`_maxpool_2x2`), with buffers
-    below half its output. Any other input folds np.maximum over the four
-    strided window views, which allocates nothing larger than the output
-    and, on a strided slice, beats copying the slice for the flat passes.
-    Backward routes the whole gradient to the window argmax: it
-    re-derives, from x and the output, the first element in row-major
-    window order that equals the maximum, so ties go to that element and
-    backward is deterministic.
+    The forward folds np.maximum over the four strided window views into
+    a copy of the first, so it allocates nothing but the output, whatever
+    the input's strides. Backward routes the whole gradient to the window
+    argmax: it re-derives, from x and the output, the first element in
+    row-major window order that equals the maximum, so ties go to that
+    element and backward is deterministic.
     """
     if x.ndim != 4:
         raise ValueError(f"maxpool2d: input must be 4-D [N,C,H,W], got {x.shape}")
@@ -1226,12 +1164,9 @@ def maxpool2d(x: Tensor) -> Tensor:
     xd = x.data
     # on a tie np.maximum returns its second operand, so the earlier tap's
     # value is kept (its sign too, for a -0.0/0.0 tie)
-    if xd.flags.c_contiguous and xd.size:
-        out = _maxpool_2x2(xd)
-    else:
-        out = window(xd, 0, 0).copy()
-        for i, j in taps[1:]:
-            np.maximum(window(xd, i, j), out, out=out)
+    out = window(xd, 0, 0).copy()
+    for i, j in taps[1:]:
+        np.maximum(window(xd, i, j), out, out=out)
 
     kx = _vjp_read(_kept(x), x)
 
@@ -1248,29 +1183,6 @@ def maxpool2d(x: Tensor) -> Tensor:
         return gx
 
     return _make("maxpool2d", out, [(x, vjp)])
-
-
-def _maxpool_2x2(x: np.ndarray) -> np.ndarray:
-    """The 2x2, stride-2 max pool of a C-contiguous [N, C, H, W] array, block by block.
-
-    In each block of row pairs, np.maximum takes the column pairs as one
-    flat pass (the left tap wins a tie), then the row pairs (the top pair
-    wins a tie), so a tie goes to the first tap in row-major window order,
-    as in the fold. A block is `_PASS_BLOCK` input elements but at most an
-    eighth of the input, so its column-pair buffer, and the buffers numpy
-    takes for the strided row-pair pass, stay below half the output.
-    """
-    N, C, H, W = x.shape
-    out = np.empty((N, C, H // 2, W // 2), dtype=np.float64)
-    pairs, flat = x.reshape(-1, 2, W), out.reshape(-1, W // 2)  # views
-    step = len(pairs)
-    if x.size > _PASS_BLOCK:
-        step = max(1, min(_PASS_BLOCK, x.size // 8) // (2 * W))
-    for r0, r1 in _blocks(len(pairs), step):
-        block = pairs[r0:r1]
-        cols = np.maximum(block[..., 1::2], block[..., 0::2])  # [rows, 2, W/2]
-        np.maximum(cols[:, 1], cols[:, 0], out=flat[r0:r1])
-    return out
 
 
 def global_avg_pool(x: Tensor) -> Tensor:

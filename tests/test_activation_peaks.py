@@ -109,7 +109,8 @@ def test_rcnet_forward_backward_peak(desk, projs):
 def test_paper_width_forward_backward_peak():
     # the largest pass the benchmark runs (paper-train, d = 256): 129.4 MiB
     # while the tape kept the upsamples' outputs, a recipe ran once per
-    # read and each weight vjp held two im2col blocks; 116.5 now
+    # read and each weight vjp held two im2col blocks; 116.4 while a
+    # broadcast mul operand's vjp summed its product in slices; 116.6 now
     cfg = paper_width(desk_config(seed=7))
     rp, cp = revfp.revfp_params(cfg), csn.csn_params(cfg)
     desk = (cfg, rp, cp, fixtures.prepare_inputs(cfg, rp))

@@ -88,10 +88,10 @@ def test_a_wrong_gradient_fails_at_every_step(monkeypatch):
     # the same kink with a relu whose vjp is 1e-3 too large
     real = tensor_mod._make
 
-    def skewed(op, data, vjps):
+    def skewed(op, data, vjps, *args, **kwargs):
         if op == "relu":
             vjps = [(t, lambda g, vjp=vjp: vjp(g) * (1 + 1e-3)) for t, vjp in vjps]
-        return real(op, data, vjps)
+        return real(op, data, vjps, *args, **kwargs)
 
     monkeypatch.setattr(tensor_mod, "_make", skewed)
     x = Tensor(np.array([0.99985e-6]), requires_grad=True, name="x")
@@ -134,10 +134,10 @@ def test_end_to_end_check_fails_a_wrong_conv_weight_gradient(seed, monkeypatch):
     def skew(vjp):
         return lambda g: vjp(g) * (1 + 1e-3)
 
-    def skewed(op, data, vjps):
+    def skewed(op, data, vjps, *args, **kwargs):
         if op == "conv2d":
             vjps = [(t, skew(vjp) if t.name == "lateral/4/weight" else vjp) for t, vjp in vjps]
-        return real(op, data, vjps)
+        return real(op, data, vjps, *args, **kwargs)
 
     monkeypatch.setattr(tensor_mod, "_make", skewed)
     result = gradient_end_to_end_check(seed)

@@ -461,7 +461,7 @@ class TestMaxPool:
 
     @staticmethod
     def pool_input(layout, shape, seed):
-        """A C-contiguous array (the flat passes) or a strided slice (the fold)."""
+        """A C-contiguous array or a strided slice."""
         if layout == "contiguous":
             return rand(shape, seed=seed)
         n, c, h, w = shape
@@ -1411,11 +1411,11 @@ class TestRecipes:
         assert built and all(ref() is None for ref in built)
 
     @pytest.mark.parametrize("graph", ["blend", "relu", "relu-shared", "add-shared"])
-    def test_add_and_relu_rebuild_in_place_only_as_the_sole_reader(self, graph):
-        # an add or relu rebuild writes into its input's rebuild when no
-        # other read gets that array; with a second reader it must not, or
-        # that reader would see the sum or the relu. Leaf grads match the
-        # graph that keeps every intermediate (a reshape view has no recipe)
+    def test_add_and_relu_rebuilds_with_shared_readers(self, graph):
+        # an add or relu rebuild reads a rebuild that other reads may share;
+        # were it written, those readers would see the sum or the relu. Leaf
+        # grads match the graph that keeps every intermediate (a reshape
+        # view has no recipe)
         def run(rebuilt: bool):
             def keep(t):
                 return t if rebuilt else reshape(t, t.shape)
@@ -1424,9 +1424,9 @@ class TestRecipes:
             w, q = _leaf((2, 1, 1, 1), 143), _leaf((2, 3, 4, 4), 144)
             with Tape() as tape:
                 y = keep(channel_norm(x, gamma, beta))
-                if graph == "blend":  # into the first product's rebuild
+                if graph == "blend":  # the add's recipe reads both products' rebuilds
                     z = add(keep(mul(w, y)), keep(mul(sub(Tensor(1.0), w), y)))
-                elif graph == "relu":  # into y's rebuild
+                elif graph == "relu":  # the relu's recipe is y's one reader
                     z = relu(y)
                 elif graph == "relu-shared":  # relu's and the mul's recipes read y
                     z = mul(y, keep(relu(y)))
@@ -1440,28 +1440,3 @@ class TestRecipes:
         for got, want in zip(run(True), run(False)):
             assert (got is None) == (want is None)
             assert got is None or got.tobytes() == want.tobytes()
-
-    def test_add_and_relu_return_their_inputs_rebuild(self):
-        # as its only reader, a rebuild allocates no buffer it does not return
-        x, gamma, beta = _leaf((2, 3, 4, 4), 145), _leaf((3,), 146), _leaf((3,), 147)
-        w, q = _leaf((2, 1, 1, 1), 148), _leaf((2, 3, 4, 4), 149)
-        with Tape():
-            y = channel_norm(x, gamma, beta)
-            r = relu(y)  # r's recipe is y's only reader
-            a = mul(w, x)  # s's recipe is a's only reader
-            s = add(a, mul(w, q))
-            tsum(mul(r, q))  # q's vjps read r and s
-            tsum(mul(s, q))
-        built = {}
-        for t in (y, a):
-            build = t._recipe.build
-
-            def spy(build=build, key=id(t)):
-                built[key] = build()
-                return built[key]
-
-            t._recipe.build = spy
-        got = r._recipe.take()[0]
-        assert got is built[id(y)] and got.tobytes() == r.data.tobytes()
-        got = s._recipe.take()[0]
-        assert got is built[id(a)] and got.tobytes() == s.data.tobytes()

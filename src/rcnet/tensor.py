@@ -11,16 +11,17 @@ active tape is held in a context variable, so each thread records into
 its own tape.
 
 Retention rule: the tape keeps only what backward reads, and only until
-backward has read it. Each tensor has a grad cell (its shape,
-`requires_grad`, `grad` and name); a tape node holds the cells of an
-op's output and inputs plus one vjp per input, and each vjp closes over
-the arrays (or recipes) it reads and nothing else: never a `Tensor`. An
-intermediate whose data no vjp reads (the output of add, reshape,
-narrow, concat, transpose or the upsample, or the conv output in front
-of channel_norm, whose vjp reads only its own normalized x) is freed as
-soon as the forward drops it. `requires_grad` is read from the cells
-when backward runs, except that a vjp which reads a rebuilt input keeps
-it only if its own input required grad when the op was recorded.
+backward has read it. Each tensor has a grad cell (its shape, `grad` and
+name). `requires_grad` is read when an op is recorded: a tape node holds
+the cell of the op's output and, for each input that required grad then,
+the input's cell and its vjp. Each vjp closes over the arrays (or
+recipes) it reads and nothing else: never a `Tensor`. A vjp the node
+does not keep is dropped with what it read, and turning a flag on or off
+after the op was recorded changes no gradient. An intermediate whose
+data no kept vjp reads (the output of add, reshape, narrow, concat,
+transpose or the upsample, the conv output in front of channel_norm,
+whose vjp reads only its own normalized x, or a product with a constant)
+is freed as soon as the forward drops it.
 
 Arrays a tape keeps must not change until `backward` has swept it: the
 vjps read the forward's inputs as they are at the sweep, and a recipe
@@ -44,20 +45,20 @@ them, the norms under the max pools and in front of a blend, and csn's
 relu output. Only elementwise outputs and upsamples are rebuilt, never
 a conv.
 
-A recipe is held by its output tensor alone until a reader asks for it:
-a vjp that will run (its input requires grad), or the recipe of a
-reader that has been asked. So a recipe never pins an input that no vjp
-reads, and an output the forward drops unread frees its recipe's input.
-Each ask counts one read at record time, and the first makes the recipe
-ask its own recipe inputs. In backward a recipe runs at most once: the
-first read keeps the rebuild on the recipe until the last counted read
-takes it, so a chain costs one rebuild per link, however many links or
-vjps read it. A rebuild never writes into an array it reads. Without a
+A recipe lives as long as something holds it: its output tensor, a vjp
+a node kept, or the recipe of a reader. So a recipe never pins an input
+that no kept vjp reads, and an output the forward drops unread frees its
+recipe's input. In backward a recipe runs at most once: its first read
+builds the rebuild and keeps it on the recipe, and releases what the
+build read, so a chain costs one rebuild per link, however many links or
+vjps read it. The rebuild dies when the last node or recipe that holds
+it is freed; inside one node it lives until the node's last vjp has run
+(the conv input's rebuild, read by the weight vjp, lives through the
+input vjp). A rebuild never writes into an array it reads. Without a
 tape, or when no input requires grad, no output has a recipe, so a
 tape-free forward frees each map at its last read; `backward` takes
 every recipe off the tensors of the tape it sweeps, so a tensor kept
-past backward pins nothing, and a rebuild dies with the last node that
-reads it.
+past backward pins nothing, and no rebuild outlives the sweep.
 
 The reverse sweep consumes the tape. `backward` takes the nodes off the
 tape, so a tape is swept once, and frees each node, with its cells, its
@@ -210,13 +211,12 @@ class TapeError(RuntimeError):
 
 
 class _GradCell:
-    """What the tape keeps of a tensor: its shape, `requires_grad`, `grad` and name."""
+    """What the tape keeps of a tensor: its shape, `grad` and name."""
 
-    __slots__ = ("shape", "requires_grad", "grad", "name")
+    __slots__ = ("shape", "grad", "name")
 
-    def __init__(self, shape: tuple[int, ...], requires_grad: bool, name: str | None):
+    def __init__(self, shape: tuple[int, ...], name: str | None):
         self.shape = shape
-        self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
         self.name = name
 
@@ -224,56 +224,44 @@ class _GradCell:
 class _Recipe:
     """Rebuilds a tensor's data in backward, bitwise, at most once a sweep.
 
-    `build()` repeats the forward's numpy calls on `srcs`, the arrays and
-    recipes it reads, reading each once. Only the tensor holds its recipe
-    until a reader asks for it (see the module docstring): `ask` counts
-    one more read the sweep will make, and the first makes the recipe
-    count its own read of each source. The first `take` keeps the rebuild
-    in `rebuilt` until the last counted read takes it, so `build` must
-    return new memory and never write into a source's rebuild.
+    `build()` repeats the forward's numpy calls on the arrays and recipes
+    it closes over. The first `take` runs it, keeps the result in
+    `rebuilt` for every later reader and sets `build` to None, which
+    releases what it read; the rebuild dies with the recipe (see the module
+    docstring). Other readers share it, so `build` must return new memory
+    and never write into a source's rebuild.
     """
 
-    __slots__ = ("build", "srcs", "reads", "rebuilt")
+    __slots__ = ("build", "rebuilt")
 
-    def __init__(self, build: Callable[[], np.ndarray], srcs: tuple):
-        self.build = build
-        self.srcs = srcs
-        self.reads = 0
+    def __init__(self, build: Callable[[], np.ndarray]):
+        self.build: Callable[[], np.ndarray] | None = build
         self.rebuilt: np.ndarray | None = None
 
-    def ask(self) -> None:
-        self.reads += 1
-        if self.reads == 1:
-            for src in self.srcs:
-                if isinstance(src, _Recipe):
-                    src.ask()
-
     def take(self) -> np.ndarray:
-        """The rebuilt data: built on the first read, dropped at the last."""
-        arr = self.rebuilt
-        if arr is None:
-            arr = self.build()
-        self.reads -= 1
-        self.rebuilt = arr if self.reads > 0 else None
-        return arr
+        """The rebuilt data, built on the first read; building releases what `build` read."""
+        if self.build is not None:
+            self.rebuilt, self.build = self.build(), None
+        return self.rebuilt
 
 
 class Tensor:
     """N-dimensional float64 array with an optional gradient accumulator.
 
     Data is row-major and conceptually immutable once constructed; only
-    `grad` is written to (by `backward`). `grad`, `requires_grad` and
-    `name` live in the tensor's grad cell, which the tape holds in place
-    of the tensor. `name` is set for learnable parameters so the counting
-    harness can attribute them to operators and `backward` can name a
-    leaf whose gradient is not finite.
+    `grad` is written to (by `backward`). `grad` and `name` live in the
+    tensor's grad cell, which the tape holds in place of the tensor;
+    `requires_grad` is read only when an op is recorded. `name` is set for
+    learnable parameters so the counting harness can attribute them to
+    operators and `backward` can name a leaf whose gradient is not finite.
     """
 
-    __slots__ = ("data", "_cell", "_recipe", "__weakref__")
+    __slots__ = ("data", "requires_grad", "_cell", "_recipe", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         self.data = np.asarray(data, dtype=np.float64)
-        self._cell = _GradCell(self.data.shape, requires_grad, name)
+        self.requires_grad = requires_grad
+        self._cell = _GradCell(self.data.shape, name)
         self._recipe: _Recipe | None = None  # set only by an op a tape recorded
 
     @property
@@ -287,14 +275,6 @@ class Tensor:
     @grad.setter
     def grad(self, value: np.ndarray | None):
         self._cell.grad = value
-
-    @property
-    def requires_grad(self) -> bool:
-        return self._cell.requires_grad
-
-    @requires_grad.setter
-    def requires_grad(self, value: bool):
-        self._cell.requires_grad = value
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -316,11 +296,11 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{tag})"
 
 
-# A tape node: the output's grad cell, the inputs' grad cells, and one vjp
-# per input. A vjp maps the output grad to that input's grad: an array of
-# the input's shape, or an (index, array) pair for a grad that is zero
-# outside `index`.
-_Node = tuple[_GradCell, tuple[_GradCell, ...], tuple[Callable, ...]]
+# A tape node: the output's grad cell, and a (grad cell, vjp) pair for each
+# input that required grad when the op was recorded. A vjp maps the output
+# grad to that input's grad: an array of the input's shape, or an (index,
+# array) pair for a grad that is zero outside `index`.
+_Node = tuple[_GradCell, tuple[tuple[_GradCell, Callable], ...]]
 
 
 class Tape:
@@ -400,8 +380,8 @@ def backward(tape: Tape, loss: Tensor):
             t._recipe = None
     tape._recipes = []
     del nodes[idx + 1 :]  # ops recorded after the loss do not reach it
-    interior = {out for out, _, _ in nodes}  # every other cell is a leaf here
-    leaves = {cell: None for _, ins, _ in nodes for cell in ins if cell not in interior}
+    interior = {out for out, _ in nodes}  # every other cell is a leaf here
+    leaves = {cell: None for _, ins in nodes for cell, _ in ins if cell not in interior}
     loss.grad = np.ones_like(loss.data)
     while nodes:
         _sweep_node(nodes.pop(), interior)  # the node, and all it holds, is freed on return
@@ -413,14 +393,13 @@ def backward(tape: Tape, loss: Tensor):
 
 def _sweep_node(node: _Node, interior: set):
     """Take the node's output grad off its cell and run the node's vjps on it."""
-    out, ins, vjps = node
+    out, ins = node
     g, out.grad = out.grad, None
     if g is None:
         return
     handed: list[tuple[np.ndarray, bool]] = []  # grads this op's inputs hold uncopied
-    for cell, vjp in zip(ins, vjps):
-        if cell.requires_grad:
-            _accumulate(cell, vjp(g), cell in interior, handed)
+    for cell, vjp in ins:
+        _accumulate(cell, vjp(g), cell in interior, handed)
 
 
 def _accumulate(cell: _GradCell, gt, interior: bool, handed: list) -> None:
@@ -481,33 +460,38 @@ def _finite(op: str, arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _make(op: str, data: np.ndarray, vjps: Sequence[tuple[Tensor, Callable]]) -> Tensor:
-    """Finalize an op: finite-check, note params, record on the active tape.
+def _make(
+    op: str, data: np.ndarray, vjps: Sequence[tuple[Tensor, Callable]], macs: int = 0
+) -> Tensor:
+    """Finalize an op: finite-check, record on the active tape, then count its MACs and params.
 
-    The tape keeps the inputs' grad cells and the vjps; each op binds what
-    its vjps read (arrays, shapes, recipes) to locals, so no vjp holds a
-    `Tensor`.
+    The tape keeps the grad cell and vjp of each input that requires grad
+    now; the other vjps, and what they read, are dropped. Each op binds
+    what its vjps read (arrays, shapes, recipes) to locals, so no vjp holds
+    a `Tensor`. An op the tape refuses reports nothing to counting.
     """
     _finite(op, data)
+    out = Tensor(data)
+    tape = _ACTIVE_TAPE.get()
+    if tape is not None:
+        kept = tuple((t._cell, vjp) for t, vjp in vjps if t.requires_grad)
+        if kept:
+            if tape._spent:
+                raise TapeError("backward already swept this tape; record on a new Tape")
+            out.requires_grad = True
+            tape._nodes.append((out._cell, kept))
+    if macs:
+        counting.add_macs(macs)
     for t, _ in vjps:
         if t.name is not None:
             counting.saw_param(t)
-    out = Tensor(data)
-    tape = _ACTIVE_TAPE.get()
-    if tape is not None and any(t.requires_grad for t, _ in vjps):
-        if tape._spent:
-            raise TapeError("backward already swept this tape; record on a new Tape")
-        out.requires_grad = True
-        tape._nodes.append(
-            (out._cell, tuple(t._cell for t, _ in vjps), tuple(vjp for _, vjp in vjps))
-        )
     return out
 
 
-def _with_recipe(out: Tensor, build: Callable[[], np.ndarray], *srcs) -> Tensor:
-    """Give `out` a recipe reading `srcs` if a tape recorded the op that made it; else none."""
+def _with_recipe(out: Tensor, build: Callable[[], np.ndarray]) -> Tensor:
+    """Give `out` a recipe if a tape recorded the op that made it; else none."""
     if out.requires_grad:  # set, on an op's output, only by recording it
-        out._recipe = _Recipe(build, srcs)
+        out._recipe = _Recipe(build)
         _ACTIVE_TAPE.get()._recipes.append(weakref.ref(out))
     return out
 
@@ -517,30 +501,9 @@ def _kept(t: Tensor):
     return t.data if t._recipe is None else t._recipe
 
 
-def _vjp_read(kept, reader: Tensor):
-    """What the vjp that returns `reader`'s grad keeps to read a `_kept` result.
-
-    The vjp runs only if `reader` requires grad when the op is recorded.
-    Then a recipe counts its read; else the vjp keeps no recipe (None), so
-    no recipe pins what no vjp reads.
-    """
-    if isinstance(kept, _Recipe):
-        if not reader.requires_grad:
-            return None
-        kept.ask()
-    return kept
-
-
 def _read(kept) -> np.ndarray:
     """The data a `_kept` result stands for: the array, or its recipe's rebuild."""
-    if isinstance(kept, np.ndarray):
-        return kept
-    if kept is None:
-        raise TapeError(
-            "a vjp reads a rebuilt input it did not keep: its input's requires_grad "
-            "was off when the op was recorded"
-        )
-    return kept.take()
+    return kept if isinstance(kept, np.ndarray) else kept.take()
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -567,7 +530,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     )
     if ra is None or rb is None:
         return out
-    return _with_recipe(out, lambda: np.add(_read(ra), _read(rb)), ra, rb)
+    return _with_recipe(out, lambda: np.add(_read(ra), _read(rb)))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -581,17 +544,16 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     ka, kb = _kept(a), _kept(b)
-    va, vb = _vjp_read(kb, a), _vjp_read(ka, b)  # what a's and b's vjps read
     sa, sb = a.shape, b.shape
     out = _make(
         "mul",
         a.data * b.data,
         [
-            (a, lambda g: _unbroadcast(g * _read(va), sa)),
-            (b, lambda g: _unbroadcast(g * _read(vb), sb)),
+            (a, lambda g: _unbroadcast(g * _read(kb), sa)),
+            (b, lambda g: _unbroadcast(g * _read(ka), sb)),
         ],
     )
-    return _with_recipe(out, lambda: _read(ka) * _read(kb), ka, kb)
+    return _with_recipe(out, lambda: _read(ka) * _read(kb))
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
@@ -650,7 +612,7 @@ def relu(a: Tensor) -> Tensor:
     out = _make("relu", np.maximum(a.data, 0.0), [(a, lambda g: g * mask)])
     if ra is None:
         return out
-    return _with_recipe(out, lambda: np.maximum(_read(ra), 0.0), ra)
+    return _with_recipe(out, lambda: np.maximum(_read(ra), 0.0))
 
 
 def tsum(a: Tensor, axes: tuple[int, ...] | None = None, keepdims: bool = False) -> Tensor:
@@ -788,18 +750,18 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     Hp = (H + 2 * padding - kh) // stride + 1
     Wp = (W + 2 * padding - kw) // stride + 1
 
-    counting.add_macs(N * Cout * Hp * Wp * Cin * kh * kw)
+    macs = N * Cout * Hp * Wp * Cin * kh * kw
     # Fewer outputs than inputs (the one-channel FGU logit conv): contract
     # the channels first. With Cout >= Cin that buffer is no smaller than the
     # im2col, and the d->d convs measured slower and with a higher peak RSS
     # on the channel-first path.
     if stride == 1 and kh * kw > 1 and Cout < Cin:
-        return _conv2d_channel_first(x, weight, bias, padding, Hp, Wp)
+        return _conv2d_channel_first(x, weight, bias, padding, Hp, Wp, macs)
 
     taps = [(i, j) for i in range(kh) for j in range(kw)]
     pointwise = kh == kw == 1 and stride == 1 and padding == 0
     K, P = Cin * kh * kw, Hp * Wp
-    kx, wd = _vjp_read(_kept(x), weight), weight.data
+    kx, wd = _kept(x), weight.data
     wmat = wd.reshape(Cout, K)
     rows, chans = _conv_blocks(Cout, Cin, kh * kw, Hp, Wp)
 
@@ -854,6 +816,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
         "conv2d",
         out,
         [(weight, vjp_w), (x, vjp_x), (bias, lambda g: g.sum(axis=(0, 2, 3)))],
+        macs,
     )
 
 
@@ -989,7 +952,7 @@ def _tap_span(i: int, padding: int, n_in: int, n_out: int, stride: int = 1, star
     return slice(lo, hi), slice(a, a + (hi - lo - 1) * stride + 1 if hi > lo else a, stride)
 
 
-def _conv2d_channel_first(x, weight, bias, padding, Hp, Wp) -> Tensor:
+def _conv2d_channel_first(x, weight, bias, padding, Hp, Wp, macs) -> Tensor:
     """Stride-1 conv that contracts the channels before the taps.
 
     Z = W . x holds one [H, W] map per (output channel, tap); the output
@@ -1001,7 +964,7 @@ def _conv2d_channel_first(x, weight, bias, padding, Hp, Wp) -> Tensor:
     N, Cin, H, W = x.shape
     Cout, _, kh, kw = weight.shape
     K = Cout * kh * kw
-    kx = _vjp_read(_kept(x), weight)
+    kx = _kept(x)
     wk = weight.data.transpose(0, 2, 3, 1).reshape(K, Cin)  # rows ordered (o, i, j)
     spans = [
         (i, j, _tap_span(i, padding, H, Hp), _tap_span(j, padding, W, Wp))
@@ -1034,6 +997,7 @@ def _conv2d_channel_first(x, weight, bias, padding, Hp, Wp) -> Tensor:
         "conv2d",
         out,
         [(weight, vjp_w), (x, vjp_x), (bias, lambda g: g.sum(axis=(0, 2, 3)))],
+        macs,
     )
 
 
@@ -1052,7 +1016,7 @@ def bilinear_upsample_x2(x: Tensor) -> Tensor:
         _up2(_up2(x.data, -2), -1),
         [(x, lambda g: _up2_adjoint(_up2_adjoint(g, -1), -2))],
     )
-    return _with_recipe(out, lambda: _up2(_up2(_read(kx), -2), -1), kx)
+    return _with_recipe(out, lambda: _up2(_up2(_read(kx), -2), -1))
 
 
 def _up2(a: np.ndarray, axis: int) -> np.ndarray:
@@ -1168,7 +1132,7 @@ def maxpool2d(x: Tensor) -> Tensor:
     for i, j in taps[1:]:
         np.maximum(window(xd, i, j), out, out=out)
 
-    kx = _vjp_read(_kept(x), x)
+    kx = _kept(x)
 
     def vjp(g):
         xd = _read(kx)

@@ -787,7 +787,7 @@ class TestTape:
         assert len(nodes) == 7
         backward(tape, loss)
         assert all(leaf.grad is not None for leaf in leaves)
-        assert all(out.grad is None for out, _, _ in nodes)
+        assert all(out.grad is None for out, _ in nodes)
         assert all(t.grad is None for t in interior)
 
     def test_two_tapes_over_one_graph_give_bitwise_equal_grads(self):
@@ -913,28 +913,45 @@ class TestTape:
         assert np.array_equal(a, bb)
 
 
-    def test_requires_grad_toggled_after_forward_is_read_at_backward(self):
-        # the op was recorded because a required a grad; the flags the sweep
-        # reads are the ones set when it runs
+    def test_requires_grad_toggled_after_recording_changes_no_grad(self):
+        # the flags are read when an op is recorded: a's vjp was kept and
+        # b's was not, whatever they are set to when the sweep runs
         a = Tensor(rand((3, 4), seed=81), requires_grad=True)
         b = Tensor(rand((3, 4), seed=82))
         with Tape() as tape:
             loss = tsum(mul(a, b))
         a.requires_grad, b.requires_grad = False, True
         backward(tape, loss)
-        assert a.grad is None
-        assert np.array_equal(b.grad, a.data)
+        assert np.array_equal(a.grad, b.data)
+        assert b.grad is None
 
-    def test_a_grad_turned_on_for_a_vjp_that_reads_a_rebuilt_input_raises(self):
-        # b's vjp reads a * a, which has a recipe; b needed no grad when the
-        # op was recorded, so the vjp kept none
+    def test_a_grad_turned_on_for_a_rebuilt_input_reader_changes_nothing(self):
+        # b's vjp would read a * a, which has a recipe; b needed no grad when
+        # the op was recorded, so the node kept no vjp for it
         a = Tensor(rand((3, 4), seed=83), requires_grad=True)
         b = Tensor(rand((3, 4), seed=84))
         with Tape() as tape:
             loss = tsum(mul(mul(a, a), b))
         b.requires_grad = True
-        with pytest.raises(TapeError, match="requires_grad was off"):
-            backward(tape, loss)
+        backward(tape, loss)
+        assert b.grad is None
+        ab = b.data * a.data
+        assert a.grad.tobytes() == (ab + ab).tobytes()
+
+    @pytest.mark.parametrize("cout", [3, 1], ids=["im2col", "channel-first"])
+    def test_a_conv_a_swept_tape_refuses_counts_nothing(self, cout):
+        x = Tensor(rand((1, 2, 4, 4), seed=78), requires_grad=True, name="x")
+        w = Tensor(rand((cout, 2, 3, 3), seed=79), name="w")
+        b = Tensor(np.zeros(cout), name="b")
+        report = counting.CountReport()
+        with Tape() as tape:
+            backward(tape, tsum(x))
+            with counting.collect(report, "root"), counting.scope("conv"):
+                with pytest.raises(TapeError, match="swept this tape"):
+                    conv2d(x, w, b, padding=1)
+        assert report.to_dict()["rows"] == {
+            "root": {"params": 0, "macs": 0}, "root/conv": {"params": 0, "macs": 0},
+        }
 
     def test_two_threads_record_apart(self):
         # each thread records its own tape and collection while the other's
@@ -1033,7 +1050,7 @@ class TestCopyOnWrite:
         assert np.array_equal(x.grad, p + q)
 
     def test_cells_that_share_a_grad_hold_it_read_only(self):
-        a, b = _GradCell((3,), True, None), _GradCell((3,), True, None)
+        a, b = _GradCell((3,), None), _GradCell((3,), None)
         g = np.ones(3)
         handed = []
         _accumulate(a, g, True, handed)
@@ -1048,7 +1065,7 @@ class TestCopyOnWrite:
 
     @pytest.mark.parametrize("leaf_first", [True, False], ids=["leaf-first", "leaf-second"])
     def test_memory_a_leaf_holds_is_never_marked_read_only(self, leaf_first):
-        leaf, cell = _GradCell((3,), True, None), _GradCell((3,), True, None)
+        leaf, cell = _GradCell((3,), None), _GradCell((3,), None)
         g = np.ones(3)
         handed = []
         for c in (leaf, cell) if leaf_first else (cell, leaf):
@@ -1068,7 +1085,7 @@ def _tensors_held(obj, seen=None) -> list:
     if isinstance(obj, Tensor):
         return [obj]
     if isinstance(obj, _Recipe):
-        inner = [obj.build, obj.srcs, obj.rebuilt]
+        inner = [obj.build, obj.rebuilt]
     elif isinstance(obj, types.FunctionType):
         inner = [c.cell_contents for c in obj.__closure__ or () if c.cell_contents is not None]
         inner += list(obj.__defaults__ or ())
@@ -1108,7 +1125,7 @@ class TestTapeRetention:
             before = tracemalloc.get_traced_memory()[0]
             with Tape() as tape:
                 y = conv2d(x, wt, b, padding=1)
-                for k in range(8):
+                for k in range(10):
                     y = mul(y, Tensor(rand(y.shape, seed=96 + k)))
                 loss = tsum(y)
             del y
@@ -1123,6 +1140,21 @@ class TestTapeRetention:
         assert peak < tape_bytes + cols_bytes, (
             f"sweep peak {peak} bytes; the tape held {tape_bytes} and the im2col is {cols_bytes}"
         )
+
+    def test_a_product_with_a_constant_keeps_no_other_operand(self):
+        # the constant's vjp would read y; it needs no grad, so the node keeps
+        # only x's vjp, which reads the constant, and y is freed with its name
+        x = Tensor(rand((1, 3, 6, 6), seed=97), requires_grad=True)
+        w = Tensor(rand((4, 3, 3, 3), seed=98), requires_grad=True)
+        b = Tensor(np.zeros(4), requires_grad=True)
+        with Tape() as tape:
+            y = conv2d(x, w, b, padding=1)  # a conv output has no recipe
+            held = weakref.ref(y.data)
+            loss = tsum(mul(y, Tensor(rand(y.shape, seed=99))))
+        del y
+        assert held() is None, "the constant's unused vjp kept the conv output"
+        backward(tape, loss)
+        assert x.grad is not None and w.grad is not None and b.grad is not None
 
     def test_shape_only_chain_keeps_no_activations(self):
         x = Tensor(rand((1, 8, 128, 128), seed=83), requires_grad=True)  # 1 MiB
@@ -1362,7 +1394,7 @@ class TestRecipes:
 
     @pytest.mark.parametrize("read", [False, True], ids=["unread", "read"])
     def test_upsample_keeps_its_input_only_once_a_vjp_reads_it(self, read):
-        # the recipe is on the output tensor alone until a vjp asks for it
+        # the output tensor alone holds the recipe until a kept vjp reads it
         x = _leaf((1, 2, 4, 4), 131)
         p = _leaf((1, 4, 8, 8), 132, grad=read)
         with Tape() as tape:
@@ -1381,11 +1413,11 @@ class TestRecipes:
     def test_a_recipe_runs_once_and_its_rebuild_dies_with_the_sweep(self, monkeypatch):
         # y is read by two vjps and by two recipes (relu's and the add's
         # mul); each recipe runs at most once, and no rebuild outlives the
-        # sweep, including one whose last counted reader gets no grad
+        # sweep, including one read by a node that reaches no loss
         runs, built = [], []
         real = tensor._with_recipe
 
-        def counted(out, build, *srcs):
+        def counted(out, build):
             k = len(runs)
             runs.append(0)
 
@@ -1395,7 +1427,7 @@ class TestRecipes:
                 built.append(weakref.ref(arr))
                 return arr
 
-            return real(out, run, *srcs)
+            return real(out, run)
 
         monkeypatch.setattr(tensor, "_with_recipe", counted)
         x, gamma, beta = _leaf((2, 3, 4, 4), 133), _leaf((3,), 134), _leaf((3,), 135)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import SHIFT_OFFSETS, NeckConfig
 from .csn import scale_shift
-from .rng import SplitMix64, fold_seed
+from .fixtures import synth_stack
 from .tensor import Tensor, add, roll, scale
 
 #: scale offsets read by kernel taps 1..5 of the five-tap circulant conv
@@ -97,8 +97,8 @@ class BenchResult:
         }
 
 
-def _median_ns(fn, reps: int, warmup: int = 3) -> int:
-    for _ in range(warmup):
+def _median_ns(fn, reps: int) -> int:
+    for _ in range(3):  # untimed warm-up calls
         fn()
     times = []
     for _ in range(reps):
@@ -108,15 +108,12 @@ def _median_ns(fn, reps: int, warmup: int = 3) -> int:
     return int(median(times))
 
 
-def bench_shift(cfg: NeckConfig, reps: int = MIN_REPS) -> BenchResult:
+def bench_shift(cfg: NeckConfig, reps: int) -> BenchResult:
     """Time `scale_shift` against the dense conv that routes identically."""
     if reps < MIN_REPS:
         raise ValueError(f"bench_shift: need at least {MIN_REPS} repetitions, got {reps}")
     block = cfg.shift_block
-    hk, wk = cfg.resolution(cfg.k)
-    shape = (cfg.batch, cfg.d, cfg.num_levels, hk, wk)
-    stream = SplitMix64(fold_seed(cfg.seed, "bench/stack"))
-    S = Tensor(stream.standard_normal(shape))
+    S = synth_stack(cfg, "bench/stack")
     kernel = routing_kernel(cfg.d, block)
 
     shifted = scale_shift(S, block)

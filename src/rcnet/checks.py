@@ -26,7 +26,7 @@ from .csn import (
     scale_shift,
     shift_aggregate,
 )
-from .fixtures import extend_stem, prepare_inputs, synth_backbone
+from .fixtures import extend_stem, prepare_inputs, synth_backbone, synth_normal, synth_stack
 from .fpn import fpn_forward, fpn_params
 from .gradcheck import TOL, check_gradients
 from .params import ParamStore
@@ -86,23 +86,24 @@ class CheckResult:
         }
 
 
-def _stream(cfg: NeckConfig, label: str) -> SplitMix64:
-    return SplitMix64(fold_seed(cfg.seed, label))
-
-
-def _rand(cfg: NeckConfig, label: str, shape) -> Tensor:
-    return Tensor(_stream(cfg, label).standard_normal(tuple(shape)))
-
-
 def _rand_pyramid(cfg: NeckConfig, label_format: str) -> FeaturePyramid:
     """Standard-normal [batch, d] maps at every level, level i drawn from
     the stream labelled `label_format.format(i=i)`."""
     return FeaturePyramid(
         {
-            i: _rand(cfg, label_format.format(i=i), (cfg.batch, cfg.d) + cfg.resolution(i))
+            i: synth_normal(cfg, label_format.format(i=i), (cfg.batch, cfg.d) + cfg.resolution(i))
             for i in cfg.levels()
         }
     )
+
+
+def _drawn_projections(cfg: NeckConfig, labels: tuple[str, ...], std: float) -> ParamStore:
+    """csn params whose three zero-initialized projections are drawn at
+    `std` instead, each from the stream of its label in `labels`."""
+    names = ("aggregate/project/weight", "context/scale/out/weight", "context/spatial/out/weight")
+    shape = (cfg.d, cfg.d, 1, 1)
+    draws = {n: std * synth_normal(cfg, label, shape).data for n, label in zip(names, labels)}
+    return csn_params(cfg).with_overrides(draws)
 
 
 def _reach(forward, inputs: FeaturePyramid, bumped, at=(0, 0, 0, 0)) -> dict:
@@ -122,7 +123,7 @@ def _reach(forward, inputs: FeaturePyramid, bumped, at=(0, 0, 0, 0)) -> dict:
     return reach
 
 
-def tiny_gradcheck_config(seed: int = 7) -> NeckConfig:
+def tiny_gradcheck_config(seed: int) -> NeckConfig:
     """Narrow config the finite-difference sweeps run at.
 
     batch must be 2: the top pyramid level is 1x1 at this base resolution,
@@ -156,12 +157,12 @@ def check_fgu_mean_weight(cfg: NeckConfig, trials: int = 10) -> CheckResult:
         h, w = cfg.resolution(i)
         for t in range(trials):
             tag = f"fgu_check/{i}/{t}"
-            fine = _rand(cfg, tag + "/fine", (cfg.batch, cfg.d, h, w))
-            coarse = _rand(cfg, tag + "/coarse", (cfg.batch, cfg.d, h // 2, w // 2))
+            fine = synth_normal(cfg, tag + "/fine", (cfg.batch, cfg.d, h, w))
+            coarse = synth_normal(cfg, tag + "/coarse", (cfg.batch, cfg.d, h // 2, w // 2))
             site = FguSite(
-                _rand(cfg, tag + "/w", (1, 2 * cfg.d, 3, 3)),
-                _rand(cfg, tag + "/b", (1,)),
-                _rand(cfg, tag + "/T", (1,)),
+                synth_normal(cfg, tag + "/w", (1, 2 * cfg.d, 3, 3)),
+                synth_normal(cfg, tag + "/b", (1,)),
+                synth_normal(cfg, tag + "/T", (1,)),
             )
             with counting.probes(reduce_weights):
                 feature_guided_upsample(fine, coarse, site)
@@ -169,7 +170,7 @@ def check_fgu_mean_weight(cfg: NeckConfig, trials: int = 10) -> CheckResult:
     return CheckResult("fgu_mean_weight", worst <= 1e-12, worst, 1e-12)
 
 
-def _revfp_probes(cfg: NeckConfig, on_probe, seed_label: str = "convexity"):
+def _revfp_probes(cfg: NeckConfig, on_probe, seed_label: str):
     """One revfp forward with every probe handed to `on_probe(key, value)`."""
     store = revfp_params(cfg)
     data_cfg = cfg.replace(seed=fold_seed(cfg.seed, seed_label) % 2**64)
@@ -211,7 +212,7 @@ def check_fusion_convexity(cfg: NeckConfig) -> CheckResult:
             blend = blends.pop(key.removesuffix("operands")).data
             worst = max(worst, _envelope_excess(blend, a, b))
 
-    _revfp_probes(cfg, reduce_site)
+    _revfp_probes(cfg, reduce_site, "convexity")
     return CheckResult("fusion_convexity", worst <= 1e-12, worst, 1e-12)
 
 
@@ -278,12 +279,7 @@ def check_csn_nonadjacent_reach(cfg: NeckConfig) -> CheckResult:
     lands in the offset -1 channel block, which the shift routes from the
     top scale directly onto the bottom one.
     """
-    d = cfg.d
-    store = csn_params(cfg).with_overrides({
-        "aggregate/project/weight": _stream(cfg, "reach/proj").standard_normal((d, d, 1, 1)),
-        "context/scale/out/weight": _stream(cfg, "reach/sout").standard_normal((d, d, 1, 1)),
-        "context/spatial/out/weight": _stream(cfg, "reach/pout").standard_normal((d, d, 1, 1)),
-    })
+    store = _drawn_projections(cfg, ("reach/proj", "reach/sout", "reach/pout"), 1.0)
     reach = _reach(
         lambda P: csn_forward(P, cfg, store),
         _rand_pyramid(cfg, "reach/P{i}"),
@@ -324,7 +320,7 @@ def check_shift_routing(cfg: NeckConfig) -> CheckResult:
     blk = cfg.shift_block
     levels = list(range(3, 8))
     n = len(levels)
-    S = _rand(cfg, "routing/stack", (1, cfg.d, n, 4, 4))
+    S = synth_normal(cfg, "routing/stack", (1, cfg.d, n, 4, 4))
     shifted = scale_shift(S, blk)
     s_out = levels.index(6)
     expected_sources = {-2: 4, -1: 5, 1: 7, 2: 3}
@@ -340,7 +336,7 @@ def check_shift_routing(cfg: NeckConfig) -> CheckResult:
 def check_shift_equivariance(cfg: NeckConfig) -> CheckResult:
     """scale_shift commutes with rotations of the scale axis, exactly."""
     n = cfg.num_levels
-    S = _rand(cfg, "equivariance/stack", (1, cfg.d, n, 3, 3))
+    S = synth_normal(cfg, "equivariance/stack", (1, cfg.d, n, 3, 3))
     worst = 0.0
     for t in range(n):
         a = scale_shift(roll(S, t, 2), cfg.shift_block).data
@@ -384,8 +380,8 @@ def check_shift_zero_cost(cfg: NeckConfig) -> CheckResult:
 def check_shift_sum_dense_equal(cfg: NeckConfig) -> CheckResult:
     """Scalar-weight shift-sum equals the dense five-tap circulant conv."""
     d = 16
-    S = _rand(cfg, "shift_sum/stack", (1, d, 5, 8, 8))
-    weights = _stream(cfg, "shift_sum/weights").standard_normal((5,))
+    S = synth_normal(cfg, "shift_sum/stack", (1, d, 5, 8, 8))
+    weights = synth_normal(cfg, "shift_sum/weights", (5,)).data
     via_shift = shift_weighted_sum(S, weights).data
     via_dense = dense_circulant_conv(S.data, scalar_kernel(d, weights))
     worst = float(np.max(np.abs(via_shift - via_dense)))
@@ -395,8 +391,7 @@ def check_shift_sum_dense_equal(cfg: NeckConfig) -> CheckResult:
 def check_aggregate_identity_init(cfg: NeckConfig) -> CheckResult:
     """Zero-initialized projection makes shift aggregation an exact identity."""
     store = csn_params(cfg)
-    hk, wk = cfg.resolution(cfg.k)
-    S = _rand(cfg, "agg_init/stack", (cfg.batch, cfg.d, cfg.num_levels, hk, wk))
+    S = synth_stack(cfg, "agg_init/stack")
     out = shift_aggregate(S, store, cfg.shift_block)
     ok = np.array_equal(out.data, S.data)
     return CheckResult("aggregate_identity_init", ok, float(np.max(np.abs(out.data - S.data))), 0.0)
@@ -405,8 +400,7 @@ def check_aggregate_identity_init(cfg: NeckConfig) -> CheckResult:
 def check_context_identity_init(cfg: NeckConfig) -> CheckResult:
     """Zero-initialized output projections make the context module an identity."""
     store = csn_params(cfg)
-    hk, wk = cfg.resolution(cfg.k)
-    Y = _rand(cfg, "ctx_init/stack", (cfg.batch, cfg.d, cfg.num_levels, hk, wk))
+    Y = synth_stack(cfg, "ctx_init/stack")
     out = dual_global_context(Y, store)
     ok = np.array_equal(out.data, Y.data)
     return CheckResult("context_identity_init", ok, float(np.max(np.abs(out.data - Y.data))), 0.0)
@@ -415,8 +409,7 @@ def check_context_identity_init(cfg: NeckConfig) -> CheckResult:
 def check_context_mean_weight(cfg: NeckConfig) -> CheckResult:
     """Both context reweightings average to exactly 1 along their axis."""
     store = csn_params(cfg)
-    hk, wk = cfg.resolution(cfg.k)
-    Y = _rand(cfg, "ctx_mean/stack", (cfg.batch, cfg.d, cfg.num_levels, hk, wk))
+    Y = synth_stack(cfg, "ctx_mean/stack")
     axes = {"scale_weights": 2, "spatial_weights": (2, 3)}
     errors = []
 
@@ -458,7 +451,7 @@ def check_csn_init_roundtrip(cfg: NeckConfig) -> CheckResult:
 def check_norm_standardization(cfg: NeckConfig) -> CheckResult:
     """With unit gain and zero shift the output is standardized per channel
     up to the eps shrinkage of the variance."""
-    x = _rand(cfg, "norm/x", (2, 4, 6, 5))
+    x = synth_normal(cfg, "norm/x", (2, 4, 6, 5))
     out = channel_norm(x, Tensor(np.ones(4), requires_grad=False), Tensor(np.zeros(4))).data
     mean_err = float(np.max(np.abs(out.mean(axis=(0, 2, 3)))))
     var = x.data.var(axis=(0, 2, 3))
@@ -485,7 +478,7 @@ def check_constant_preservation(cfg: NeckConfig) -> CheckResult:
 
 def check_softmax_simplex(cfg: NeckConfig) -> CheckResult:
     """Softmax outputs are strictly positive and sum to 1 over the axis set."""
-    x = _rand(cfg, "softmax/x", (2, 3, 7, 5))
+    x = synth_normal(cfg, "softmax/x", (2, 3, 7, 5))
     out = softmax(x, (2, 3)).data
     sums = out.sum(axis=(2, 3))
     worst = float(np.max(np.abs(sums - 1.0)))
@@ -648,11 +641,12 @@ def _op_check(seed: int, name: str, fn, leaves: list[Tensor]) -> CheckResult:
     def build_loss():
         return tsum(mul(fn(), proj))
 
-    worst = max(c.max_rel_err for c in check_gradients(build_loss, leaves, max_coords=512))
+    results = check_gradients(build_loss, leaves, max_coords=512, seed=0)
+    worst = max(c.max_rel_err for c in results)
     return CheckResult(f"grad/{name}", worst <= TOL, worst, TOL)
 
 
-def gradient_op_checks(seed: int = 7) -> list[CheckResult]:
+def gradient_op_checks(seed: int) -> list[CheckResult]:
     """Finite-difference check of every primitive op on small tensors."""
     cases = _op_cases(fold_seed(seed, "ops"))
     return [_op_check(seed, name, fn, leaves) for name, (fn, leaves) in cases.items()]
@@ -661,7 +655,7 @@ def gradient_op_checks(seed: int = 7) -> list[CheckResult]:
 END_TO_END = "grad/end_to_end"
 
 
-def gradient_end_to_end_check(seed: int = 7) -> CheckResult:
+def gradient_end_to_end_check(seed: int) -> CheckResult:
     """FD check of dLoss/dParam through the full fused-neck graph.
 
     The check runs at a generic parameter point: the zero-initialized
@@ -671,17 +665,9 @@ def gradient_end_to_end_check(seed: int = 7) -> CheckResult:
     """
     cfg = tiny_gradcheck_config(seed)
     rp = revfp_params(cfg)
-    d = cfg.d
-    cp = csn_params(cfg).with_overrides({
-        "aggregate/project/weight": 0.3 * _stream(cfg, "e2e/proj_w").standard_normal((d, d, 1, 1)),
-        "context/scale/out/weight": 0.3 * _stream(cfg, "e2e/sout_w").standard_normal((d, d, 1, 1)),
-        "context/spatial/out/weight": 0.3 * _stream(cfg, "e2e/pout_w").standard_normal((d, d, 1, 1)),
-    })
+    cp = _drawn_projections(cfg, ("e2e/proj_w", "e2e/sout_w", "e2e/pout_w"), 0.3)
     base = synth_backbone(cfg)
-    projs = {
-        i: _rand(cfg, f"e2e/proj/{i}", (cfg.batch, cfg.d) + cfg.resolution(i))
-        for i in cfg.levels()
-    }
+    projs = _rand_pyramid(cfg, "e2e/proj/{i}")
 
     def build_loss():
         C = extend_stem(base, rp, cfg)
@@ -705,7 +691,7 @@ def gradient_end_to_end_check(seed: int = 7) -> CheckResult:
     )
 
 
-def run_gradient_suite(seed: int = 7, names: list[str] | None = None) -> list[CheckResult]:
+def run_gradient_suite(seed: int, names: list[str] | None) -> list[CheckResult]:
     """The op sweep and the end-to-end check, or only the checks in `names`.
 
     The selection is resolved before anything runs: a named op runs alone,

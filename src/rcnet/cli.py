@@ -11,7 +11,9 @@ and before any work runs, but opened only to write a finished report: a
 run that ends in a usage or loader error creates no file there and
 leaves an existing one untouched. A `--fixtures` file that opens but
 holds no valid FPZ1 container raises the loader's `ContainerError` or
-`PyramidError`.
+`PyramidError`; `forward` also raises `PyramidError`, before it builds
+any parameter, when the container's levels or shapes are not the
+config's backbone stages (a container written at another width).
 An unknown or empty `--checks` selection writes a report with no checks
 and an `error` field before any check runs.
 """
@@ -38,9 +40,9 @@ from .checks import (
 )
 from .config import NeckConfig, desk_config, load_config, paper_width
 from .csn import csn_params, rcnet_forward
-from .fixtures import extend_stem, synth_backbone
+from .fixtures import extend_stem, stage_shapes, synth_backbone
 from .fpn import fpn_forward, fpn_params
-from .pyramid import load_pyramid, pyramid_digest, save_pyramid
+from .pyramid import FeaturePyramid, PyramidError, load_pyramid, pyramid_digest, save_pyramid
 from .revfp import revfp_forward, revfp_params
 
 SCHEMA = "rcnet-report/1"
@@ -134,11 +136,26 @@ def cmd_gen_fixtures(args, cfg: NeckConfig):
     return [check], {"digests": {"backbone": pyramid_digest(pyr)}, "fixtures_path": args.fixtures}
 
 
+def _load_stages(path: str, cfg: NeckConfig) -> FeaturePyramid:
+    """The FPZ1 container at `path`; `PyramidError` unless it holds the
+    config's backbone stages at the shapes `synth_backbone` draws."""
+    C = load_pyramid(path)
+    want = stage_shapes(cfg)
+    for i in sorted(set(want) | set(C.levels)):
+        got = C[i].shape if i in C else "absent"
+        need = want.get(i, "absent")
+        if got != need:
+            raise PyramidError(
+                f"--fixtures level {i}: {got} in the container, {need} in the config"
+            )
+    return C
+
+
 def cmd_forward(args, cfg: NeckConfig):
     """One neck forward; `inputs` times the backbone and the stem, `init` the params."""
     makers, forward = MODELS[args.model]
     t0 = time.perf_counter_ns()
-    C = load_pyramid(args.fixtures) if args.fixtures else synth_backbone(cfg)
+    C = _load_stages(args.fixtures, cfg) if args.fixtures else synth_backbone(cfg)
     t1 = time.perf_counter_ns()
     stores = [make(cfg) for make in makers]
     t2 = time.perf_counter_ns()

@@ -41,10 +41,10 @@ class CountReport:
             self.rows[name] = CountRow()
         return self.rows[name]
 
-    def total(self, prefix: str = "") -> tuple[int, int]:
+    def total(self, prefix: str) -> tuple[int, int]:
         p = m = 0
         for name, row in self.rows.items():
-            if name == prefix or name.startswith(prefix + "/") or not prefix:
+            if name == prefix or name.startswith(prefix + "/"):
                 p += row.params
                 m += row.macs
         return p, m

@@ -1,9 +1,11 @@
 """Synthetic backbone pyramids and the stride-2 stem that extends them.
 
-The backbone stand-in emits standard-normal features per stage from the
-documented seeded generator; the stem then grows levels 6 (and 7) the way
-single-stage detectors conventionally do: a stride-2 3x3 conv on C5, and
-another on relu(C6).
+`synth_normal` draws a seeded input tensor: standard normals from the
+documented generator, from one stream per label. The backbone stand-in
+draws one stream per stage, and the checks and the shift bench draw
+their random inputs the same way. The stem then grows levels 6 (and 7)
+the way single-stage detectors conventionally do: a stride-2 3x3 conv
+on C5, and another on relu(C6).
 """
 
 from __future__ import annotations
@@ -16,15 +18,26 @@ from .rng import SplitMix64, fold_seed
 from .tensor import Tensor, conv2d, pad2d, relu
 
 
+def synth_normal(cfg: NeckConfig, label: str, shape: tuple[int, ...]) -> Tensor:
+    """Seeded standard normals of `shape`, drawn from the stream `label`."""
+    return Tensor(SplitMix64(fold_seed(cfg.seed, label)).standard_normal(shape))
+
+
+def stage_shapes(cfg: NeckConfig) -> dict[int, tuple[int, ...]]:
+    """The [batch, C, H, W] shape of each backbone stage, by level."""
+    return {i: (cfg.batch, cfg.stage_channels(i)) + cfg.resolution(i) for i in cfg.stage_levels()}
+
+
 def synth_backbone(cfg: NeckConfig) -> FeaturePyramid:
     """Seeded stand-in for backbone stages l_min..5; pure in the config."""
-    tensors = {}
-    for level in cfg.stage_levels():
-        h, w = cfg.resolution(level)
-        shape = (cfg.batch, cfg.stage_channels(level), h, w)
-        stream = SplitMix64(fold_seed(cfg.seed, f"backbone/C{level}"))
-        tensors[level] = Tensor(stream.standard_normal(shape))
-    return FeaturePyramid(tensors)
+    shapes = stage_shapes(cfg)
+    return FeaturePyramid({i: synth_normal(cfg, f"backbone/C{i}", shapes[i]) for i in shapes})
+
+
+def synth_stack(cfg: NeckConfig, label: str) -> Tensor:
+    """Seeded standard normals in the [batch, d, n, h_k, w_k] scale stack
+    the cross-scale module forms."""
+    return synth_normal(cfg, label, (cfg.batch, cfg.d, cfg.num_levels) + cfg.resolution(cfg.k))
 
 
 def stem_params(store: ParamStore, cfg: NeckConfig) -> ParamStore:

@@ -59,11 +59,13 @@ def _coords(shape: tuple[int, ...], limit: int, seed: int) -> list[tuple[int, ..
 def check_gradients(
     build_loss: Callable[[], Tensor],
     leaves: Sequence[Tensor],
-    max_coords: int = 6,
-    seed: int = 0,
+    max_coords: int,
+    seed: int,
 ) -> list[GradCheckResult]:
     """Compare taped grads of `build_loss()` against central differences.
 
+    A leaf of more than `max_coords` elements is checked at a sample of at
+    most that many coordinates, drawn from `seed` and the leaf's name.
     `build_loss` must be a pure function of the leaves' current data. The
     leaves' data arrays are nudged in place during the numeric pass and
     restored exactly afterwards.

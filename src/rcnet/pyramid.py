@@ -140,11 +140,6 @@ def _pieces(pyr: FeaturePyramid, seed=None, config: dict | None = None):
         yield np.ascontiguousarray(pyr[i].data, dtype="<f8").reshape(-1)
 
 
-def pyramid_bytes(pyr: FeaturePyramid, seed=None, config: dict | None = None) -> bytes:
-    """The whole container in memory, for small pyramids and tests."""
-    return b"".join(_pieces(pyr, seed=seed, config=config))
-
-
 def save_pyramid(path: str, pyr: FeaturePyramid, seed=None, config: dict | None = None):
     with open(path, "wb") as fh:
         for piece in _pieces(pyr, seed=seed, config=config):

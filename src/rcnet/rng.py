@@ -194,9 +194,11 @@ class SplitMix64:
         out = np.empty(count, dtype=np.uint64)
         return _draw(_words_step, out, self._seed, self._take(count))
 
-    def standard_normal(self, shape: tuple[int, ...] | tuple[()] = ()) -> np.ndarray:
+    def standard_normal(self, shape: tuple[int, ...]) -> np.ndarray:
         """Standard normals via Box-Muller; output is row-major over `shape`."""
-        n = int(np.prod(shape)) if shape else 1
+        if any(extent < 0 for extent in shape):
+            raise ValueError(f"standard_normal: negative extent in shape {shape}")
+        n = int(np.prod(shape))
         pairs = (n + 1) // 2
         z = np.empty((pairs, 2), dtype=np.float64)
         _draw(_normals_step, z, self._seed, self._take(2 * pairs))

@@ -641,6 +641,8 @@ def tmean(a: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
 
 def concat(tensors: Iterable[Tensor], axis: int) -> Tensor:
     ts = list(tensors)
+    if not ts:
+        raise ValueError("concat: no tensors to join")
     ref = ts[0].shape
     for t in ts[1:]:
         for ax, (da, db) in enumerate(zip(ref, t.shape)):
@@ -664,6 +666,8 @@ def concat(tensors: Iterable[Tensor], axis: int) -> Tensor:
 
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
+    if not -a.ndim <= axis < a.ndim:
+        raise ValueError(f"narrow: axis {axis} out of range for ndim {a.ndim}")
     if start < 0 or length < 0 or start + length > a.shape[axis]:
         raise ValueError(
             f"narrow: [{start}, {start + length}) out of range for axis {axis} "

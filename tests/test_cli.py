@@ -10,7 +10,16 @@ from rcnet import checks as checks_mod
 from rcnet.checks import CheckResult
 from rcnet.cli import main
 from rcnet.counting import CountReport
-from rcnet.pyramid import ContainerError, FeaturePyramid, HeaderError, load_pyramid
+from rcnet.fixtures import synth_backbone
+from rcnet.params import ParamStore
+from rcnet.pyramid import (
+    ContainerError,
+    FeaturePyramid,
+    HeaderError,
+    PyramidError,
+    load_pyramid,
+    save_pyramid,
+)
 
 DESK_JSON = Path(__file__).parent.parent / "desk.json"
 
@@ -236,6 +245,30 @@ def test_forward_accepts_saved_fixtures(mini_cfg_file, tmp_path, capsys):
     direct = tmp_path / "fwd2.json"
     main(["forward", "revfp", "--config", mini_cfg_file, "--out", str(direct)])
     assert read_report(out)["digests"] == read_report(direct)["digests"]
+
+
+def test_forward_rejects_fixtures_of_another_width(tmp_path, monkeypatch):
+    # a desk-width container under --paper-width used to die inside a conv
+    # with "input channels 64 != weight in-channels 2048"
+    fpz = tmp_path / "b.fpz"
+    assert main(["gen-fixtures", "--fixtures", str(fpz)]) == 0
+
+    def no_params(*args):
+        raise AssertionError("a parameter was built before the container was checked")
+
+    monkeypatch.setattr(ParamStore, "_add", no_params)
+    want = r"level 3: \(1, 16, 64, 64\) in the container, \(1, 512, 64, 64\) in the config"
+    with pytest.raises(PyramidError, match=want):
+        main(["forward", "rcnet", "--paper-width", "--fixtures", str(fpz)])
+
+
+def test_forward_rejects_fixtures_missing_a_stage(mini_cfg_file, mini_cfg, tmp_path):
+    full = synth_backbone(mini_cfg)
+    short = tmp_path / "short.fpz"
+    save_pyramid(str(short), FeaturePyramid({i: full[i] for i in (3, 4)}))
+    want = r"level 5: absent in the container, \(1, 16, 8, 8\) in the config"
+    with pytest.raises(PyramidError, match=want):
+        main(["forward", "fpn", "--config", mini_cfg_file, "--fixtures", str(short)])
 
 
 def test_count_reports_zero_cost_shift(mini_cfg_file, tmp_path):

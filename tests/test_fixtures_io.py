@@ -26,7 +26,6 @@ from rcnet.pyramid import (
     PayloadError,
     PyramidError,
     load_pyramid,
-    pyramid_bytes,
     pyramid_digest,
     save_pyramid,
 )
@@ -116,6 +115,16 @@ class TestSplitMix:
         flat = SplitMix64(5).standard_normal((6,))
         square = SplitMix64(5).standard_normal((2, 3))
         assert np.array_equal(flat.reshape(2, 3), square)
+
+    @pytest.mark.parametrize("shape", [(-1,), (2, -3)])
+    def test_negative_extent_rejected(self, shape):
+        # a negative extent used to give an empty array; words(-1) raises too
+        with pytest.raises(ValueError, match="negative extent"):
+            SplitMix64(1).standard_normal(shape)
+
+    def test_scalar_draw(self):
+        assert SplitMix64(0).standard_normal(()).shape == ()
+        assert SplitMix64(0).standard_normal(()) == SplitMix64(0).standard_normal((1,))[0]
 
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     @pytest.mark.parametrize("items", _ITEMS)
@@ -317,14 +326,14 @@ class TestContainer:
             load_pyramid(str(path))
 
     def test_truncated_blob(self, mini_cfg, tmp_path):
-        blob = pyramid_bytes(synth_backbone(mini_cfg))
+        blob = _oracle_bytes(synth_backbone(mini_cfg))
         path = tmp_path / "trunc.fpz"
         path.write_bytes(blob[:-16])
         with pytest.raises(BlobLengthError):
             load_pyramid(str(path))
 
     def test_trailing_bytes(self, mini_cfg, tmp_path):
-        blob = pyramid_bytes(synth_backbone(mini_cfg))
+        blob = _oracle_bytes(synth_backbone(mini_cfg))
         path = tmp_path / "extra.fpz"
         path.write_bytes(blob + b"\x00" * 8)
         with pytest.raises(BlobLengthError):
@@ -333,7 +342,7 @@ class TestContainer:
     def test_header_with_wrong_extents(self, mini_cfg, tmp_path):
         # keep the element count (so blob lengths still line up) but declare
         # extents that break the halving invariant
-        blob = pyramid_bytes(synth_backbone(mini_cfg))
+        blob = _oracle_bytes(synth_backbone(mini_cfg))
         head_len = int.from_bytes(blob[4:8], "little")
         header = json.loads(blob[8 : 8 + head_len])
         assert header["shapes"]["4"] == [1, 12, 16, 16]
@@ -403,7 +412,7 @@ def _oracle_bytes(pyr: FeaturePyramid, seed=None, config=None) -> bytes:
 
 
 def _mini_container() -> bytes:
-    return pyramid_bytes(
+    return _oracle_bytes(
         FeaturePyramid(
             {3: Tensor(SplitMix64(1).standard_normal((1, 2, 4, 4))),
              4: Tensor(SplitMix64(2).standard_normal((1, 2, 2, 2)))}
@@ -444,7 +453,7 @@ class TestLoaderBoundary:
     def test_level_larger_than_the_file_rejected_before_any_allocation(self, tmp_path):
         # a 1 MiB first level, then a level declared far larger than the file:
         # the lengths are checked before either level is allocated
-        blob = pyramid_bytes(
+        blob = _oracle_bytes(
             FeaturePyramid(
                 {3: Tensor(np.ones((1, 2, 256, 256))), 4: Tensor(np.ones((1, 2, 128, 128)))}
             )

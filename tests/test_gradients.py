@@ -68,7 +68,7 @@ def test_composed_graph_matches_finite_differences():
         z = channel_norm(mul(y, add(att, sigmoid(y))), gamma, beta)
         return tsum(mul(z, proj))
 
-    results = check_gradients(build_loss, [x, w, b, gamma, beta], max_coords=512)
+    results = check_gradients(build_loss, [x, w, b, gamma, beta], max_coords=512, seed=0)
     for r in results:
         assert r.passed, f"{r.name}: {r.max_rel_err:.3e}"
 
@@ -79,7 +79,7 @@ def test_a_straddled_kink_passes_at_the_first_step_that_clears_it():
     # TOL (7.5e-5) but its one-sided differences are 1.5e-4 apart, so that
     # step is refused. The 1e-7 stencil clears the kink.
     x = Tensor(np.array([0.99985e-6]), requires_grad=True, name="x")
-    (result,) = check_gradients(lambda: tsum(relu(x)), [x])
+    (result,) = check_gradients(lambda: tsum(relu(x)), [x], max_coords=6, seed=0)
     assert result.passed and result.remeasured == 1
     assert result.max_rel_err < 1e-8
 
@@ -95,7 +95,7 @@ def test_a_wrong_gradient_fails_at_every_step(monkeypatch):
 
     monkeypatch.setattr(tensor_mod, "_make", skewed)
     x = Tensor(np.array([0.99985e-6]), requires_grad=True, name="x")
-    (result,) = check_gradients(lambda: tsum(relu(x)), [x])
+    (result,) = check_gradients(lambda: tsum(relu(x)), [x], max_coords=6, seed=0)
     assert not result.passed and result.remeasured == 1
 
 

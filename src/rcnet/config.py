@@ -89,14 +89,11 @@ class NeckConfig:
         if usable("d", "r") and self.d % (4 * self.r):
             out.append(f"d={self.d} must be divisible by 4*r={4 * self.r}")
         if usable("backbone_channels"):
-            if usable("l_min", "l_max"):
-                to_five = min(5, self.l_max) - self.l_min + 1
-                if len(self.backbone_channels) not in (to_five, self.num_levels):
-                    out.append(
-                        f"backbone_channels has {len(self.backbone_channels)} entries; "
-                        f"need {to_five} (stages to level 5, stem above) or "
-                        f"{self.num_levels} (every level from the backbone)"
-                    )
+            if usable("l_min", "l_max") and len(self.backbone_channels) != 6 - self.l_min:
+                out.append(
+                    f"backbone_channels has {len(self.backbone_channels)} entries; "
+                    f"need {6 - self.l_min} (stages l_min..5, stem above)"
+                )
             if any(c <= 0 for c in self.backbone_channels):
                 out.append("backbone_channels must be positive")
         if usable("k", "l_min", "l_max") and not (self.l_min <= self.k <= self.l_max):
@@ -133,17 +130,8 @@ class NeckConfig:
         return range(self.l_min, self.l_max + 1)
 
     def stage_levels(self) -> range:
-        """Levels the synthetic backbone emits directly.
-
-        With the default entry count this stops at level 5 and the stem
-        grows the rest; giving backbone_channels one entry per level
-        switches to a fully synthetic (augmented) backbone instead.
-        """
-        return range(self.l_min, self.l_min + len(self.backbone_channels))
-
-    @property
-    def has_stem(self) -> bool:
-        return len(self.backbone_channels) < self.num_levels
+        """Levels the synthetic backbone emits directly; the stem grows the rest."""
+        return range(self.l_min, 6)
 
     def stage_channels(self, level: int) -> int:
         if level not in self.stage_levels():
@@ -199,7 +187,7 @@ def desk_config(**overrides) -> NeckConfig:
 def paper_width(cfg: NeckConfig) -> NeckConfig:
     """Restore full channel widths (d=256, undivided stage channels).
 
-    Stages above level 5 (augmented-backbone configs only) get width 256.
+    Stage levels below 2, which have no ResNet stage width, get width 256.
     """
     stages = tuple(
         FULL_STAGE_CHANNELS.get(i, 256) for i in cfg.stage_levels()
@@ -209,7 +197,10 @@ def paper_width(cfg: NeckConfig) -> NeckConfig:
 
 def load_config(path: str) -> NeckConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except (ValueError, RecursionError) as err:  # bad JSON or UTF-8, a huge int, deep nesting
+            raise ValueError(f"config {path} is not valid JSON: {err}") from err
     try:
         return NeckConfig(**raw)
     except TypeError as err:

@@ -41,12 +41,7 @@ def synth_stack(cfg: NeckConfig, label: str) -> Tensor:
 
 
 def stem_params(store: ParamStore, cfg: NeckConfig) -> ParamStore:
-    """Allocate the stem convs (one per level above 5) in `store`.
-
-    No-op for augmented-backbone configs, which have no stem.
-    """
-    if not cfg.has_stem:
-        return store
+    """Allocate the stem convs (one per level above 5) in `store`."""
     store.conv("stem/c6", cfg.d, cfg.stage_channels(5), 3, 3)
     if cfg.l_max >= 7:
         store.conv("stem/c7", cfg.d, cfg.d, 3, 3)
@@ -60,17 +55,9 @@ def _stride2_conv(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
 
 def extend_stem(C: FeaturePyramid, params: ParamStore, cfg: NeckConfig) -> FeaturePyramid:
-    """Add levels 6..l_max on top of a backbone pyramid ending at level 5.
-
-    Returns `C` unchanged for augmented-backbone configs, which have no stem.
-    """
-    if not cfg.has_stem:
-        return C
+    """Add levels 6..l_max on top of a backbone pyramid ending at level 5."""
     if C.levels[-1] != 5:
         raise ValueError(f"extend_stem: highest present level is {C.levels[-1]}, expected 5")
-    for level in range(6, cfg.l_max + 1):
-        if level in C:
-            raise ValueError(f"extend_stem: level {level} already present")
     out = C
     with counting.scope("stem/c6"):
         c6 = _stride2_conv(C[5], params["stem/c6/weight"], params["stem/c6/bias"])
@@ -83,5 +70,5 @@ def extend_stem(C: FeaturePyramid, params: ParamStore, cfg: NeckConfig) -> Featu
 
 
 def prepare_inputs(cfg: NeckConfig, params: ParamStore) -> FeaturePyramid:
-    """Complete neck input: synthetic stages plus the stem where configured."""
+    """Complete neck input: synthetic stages l_min..5 plus the stem above."""
     return extend_stem(synth_backbone(cfg), params, cfg)

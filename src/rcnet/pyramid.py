@@ -198,7 +198,7 @@ def _parse_header(path: str, head: bytes) -> dict:
     """The JSON header, with its `levels`, `shapes` and `dtype` fields checked."""
     try:
         header = json.loads(head.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+    except (ValueError, RecursionError) as err:  # bad JSON or UTF-8, a huge int, deep nesting
         raise HeaderError(f"{path}: malformed header: {err}") from err
     if not isinstance(header, dict):
         raise HeaderError(f"{path}: header is not a JSON object")

@@ -707,6 +707,8 @@ def broadcast_to(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 def pad2d(a: Tensor, top: int, bottom: int, left: int, right: int) -> Tensor:
     """Zero-pad the trailing two axes; padding may be asymmetric."""
+    if a.ndim < 2:
+        raise ValueError(f"pad2d: need at least 2 axes, got {a.shape}")
     if min(top, bottom, left, right) < 0:
         raise ValueError("pad2d: negative padding")
     width = [(0, 0)] * (a.ndim - 2) + [(top, bottom), (left, right)]

@@ -190,6 +190,24 @@ def test_config_the_forward_cannot_run_is_a_usage_error(tmp_path, capsys):
         assert not (tmp_path / "r.json").exists(), argv
 
 
+def test_config_that_is_not_a_valid_config_file_is_a_usage_error(tmp_path, capsys):
+    # a nesting past the recursion limit once escaped as a RecursionError,
+    # and one width per level (levels 3..7) asks for a stemless backbone
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 200000)
+    raw = json.loads(DESK_JSON.read_text(encoding="utf-8"))
+    raw["backbone_channels"] = [16, 32, 64, 64, 64]
+    per_level = tmp_path / "per_level.json"
+    per_level.write_text(json.dumps(raw))
+    for path, fragment in [(nested, f"config {nested} is not valid JSON"), (per_level, "backbone_channels")]:
+        for command in ("invariants", "count"):
+            with pytest.raises(SystemExit) as err:
+                main([command, "--config", str(path)])
+            assert err.value.code == 2, (path, command)
+            captured = capsys.readouterr().err
+            assert "usage" in captured and fragment in captured, captured[-300:]
+
+
 @pytest.mark.parametrize(
     "field, value",
     [("r", 0), ("seed", 7.5), ("d", 64.0), ("batch", True), ("base_resolution", [64.0, 64])],

@@ -23,15 +23,17 @@ FUZZ_COUNT = 48
 def _raw_config(rng: random.Random) -> dict:
     l_min = rng.choice((2, 3))
     l_max = rng.choice((6, 7))
-    n = l_max - l_min + 1
     to_five = 5 - l_min + 1
-    stages = rng.choice((to_five, n))
+    # a case draws up to one width per level and keeps those for levels
+    # l_min..5; the surplus draws keep every later draw, the seed included,
+    # and so every test id, as it was pinned
+    drawn = rng.choice((to_five, l_max - l_min + 1))
     div = 2 ** (l_max - l_min)
     return dict(
         l_min=l_min,
         l_max=l_max,
         d=rng.choice((4, 8, 12, 16, 24, 32, 48, 64)),
-        backbone_channels=tuple(rng.randint(2, 12) for _ in range(stages)),
+        backbone_channels=tuple([rng.randint(2, 12) for _ in range(drawn)][:to_five]),
         r=rng.choice((1, 2, 4)),
         k=rng.randint(l_min - 1, l_max),
         batch=rng.choice((1, 1, 2)),

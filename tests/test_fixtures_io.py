@@ -325,6 +325,17 @@ class TestContainer:
         with pytest.raises(HeaderError):
             load_pyramid(str(path))
 
+    @pytest.mark.parametrize(
+        "junk", [b"[" * 200000, b'{"levels": ' + b"7" * 5000 + b"}"], ids=["deep", "long_int"]
+    )
+    def test_header_past_the_json_limits(self, junk, tmp_path):
+        # a nesting past the recursion limit, and an integer past Python's
+        # int-string digit limit, are malformed headers like any other
+        path = tmp_path / "hdr.fpz"
+        path.write_bytes(b"FPZ1" + len(junk).to_bytes(4, "little") + junk)
+        with pytest.raises(HeaderError):
+            load_pyramid(str(path))
+
     def test_truncated_blob(self, mini_cfg, tmp_path):
         blob = _oracle_bytes(synth_backbone(mini_cfg))
         path = tmp_path / "trunc.fpz"
@@ -393,6 +404,16 @@ class TestConfigValidation:
         message = str(err.value)
         for fragment in ["at least 5 levels", "divisible by 4*r", "k=9", "batch=0", "31"]:
             assert fragment in message
+
+    def test_one_width_per_level_is_rejected(self, mini_cfg):
+        # levels above 5 come from the stem only, so the backbone gives 3..5
+        with pytest.raises(ValueError, match=r"backbone_channels has 5 entries; need 3"):
+            mini_cfg.replace(backbone_channels=[8, 12, 16, 24, 24])
+
+    def test_paper_width_gives_stages_below_level_2_the_neck_width(self):
+        # ResNet has no stage width for level 1; --paper-width must still run
+        cfg = desk_config(l_min=1, l_max=6, k=3, backbone_channels=(8, 8, 16, 32, 64))
+        assert paper_width(cfg).backbone_channels == (256, 256, 512, 1024, 2048)
 
 
 def _oracle_bytes(pyr: FeaturePyramid, seed=None, config=None) -> bytes:

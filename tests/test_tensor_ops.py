@@ -580,6 +580,12 @@ class TestElementwise:
         with pytest.raises(ValueError, match=f"axis {axis} out of range for ndim 2"):
             narrow(Tensor(np.zeros((3, 4))), axis, 0, 1)
 
+    @pytest.mark.parametrize("shape", [(3,), ()])
+    def test_pad2d_needs_two_axes(self, shape):
+        # fewer than two axes used to raise numpy's broadcast error
+        with pytest.raises(ValueError, match=re.escape(f"pad2d: need at least 2 axes, got {shape}")):
+            pad2d(Tensor(np.ones(shape)), 1, 1, 1, 1)
+
     def test_narrow_negative_axis(self):
         x = rand((3, 4), seed=16)
         assert np.array_equal(narrow(Tensor(x), -1, 1, 2).data, x[:, 1:3])

@@ -31,7 +31,7 @@ from .fpn import fpn_forward, fpn_params
 from .gradcheck import TOL, check_gradients
 from .params import ParamStore
 from .pyramid import FeaturePyramid, load_pyramid, pyramid_digest, save_pyramid
-from .revfp import FguSite, feature_guided_upsample, revfp_forward, revfp_params
+from .revfp import feature_guided_upsample, revfp_forward, revfp_params
 from .rng import SplitMix64, fold_seed
 from .tensor import (
     NORM_EPS,
@@ -159,13 +159,11 @@ def check_fgu_mean_weight(cfg: NeckConfig, trials: int = 10) -> CheckResult:
             tag = f"fgu_check/{i}/{t}"
             fine = synth_normal(cfg, tag + "/fine", (cfg.batch, cfg.d, h, w))
             coarse = synth_normal(cfg, tag + "/coarse", (cfg.batch, cfg.d, h // 2, w // 2))
-            site = FguSite(
-                synth_normal(cfg, tag + "/w", (1, 2 * cfg.d, 3, 3)),
-                synth_normal(cfg, tag + "/b", (1,)),
-                synth_normal(cfg, tag + "/T", (1,)),
-            )
+            weight = synth_normal(cfg, tag + "/w", (1, 2 * cfg.d, 3, 3))
+            bias = synth_normal(cfg, tag + "/b", (1,))
+            temperature = synth_normal(cfg, tag + "/T", (1,))
             with counting.probes(reduce_weights):
-                feature_guided_upsample(fine, coarse, site)
+                feature_guided_upsample(fine, coarse, weight, bias, temperature)
     worst = max(errors)
     return CheckResult("fgu_mean_weight", worst <= 1e-12, worst, 1e-12)
 
@@ -198,21 +196,29 @@ def check_fusion_convexity(cfg: NeckConfig) -> CheckResult:
 
     Each site's "blend" probe fires just before its "operands" probe, and
     the site is reduced as its operands arrive, so no blend or operand
-    pair outlives its fusion.
+    pair outlives its fusion. The check fails unless each of the 2*(n-1)
+    fusion sites is reduced exactly once: a forward that stops probing
+    its blends reduces nothing, and must not pass with 0.0.
     """
+    sites = [f"pre/{i}" for i in range(cfg.l_min, cfg.l_max)]
+    sites += [f"post/{i}" for i in range(cfg.l_min + 1, cfg.l_max + 1)]
     blends: dict = {}
+    reduced: list = []
     worst = 0.0
 
     def reduce_site(key: str, value):
         nonlocal worst
-        if key.endswith("/blend"):  # one "{pre,post}/{i}/blend" key per fusion site
-            blends[key.removesuffix("blend")] = value
-        elif key.endswith("/operands"):
+        site, _, name = key.rpartition("/")
+        if name == "blend":  # one "{pre,post}/{i}/blend" key per fusion site
+            blends[site] = value
+        elif name == "operands" and site in blends:
             a, b = (t.data for t in value)
-            blend = blends.pop(key.removesuffix("operands")).data
-            worst = max(worst, _envelope_excess(blend, a, b))
+            worst = max(worst, _envelope_excess(blends.pop(site).data, a, b))
+            reduced.append(site)
 
     _revfp_probes(cfg, reduce_site, "convexity")
+    if sorted(reduced) != sorted(sites):
+        return CheckResult("fusion_convexity", False, f"reduced {reduced}", f"{sites} once each")
     return CheckResult("fusion_convexity", worst <= 1e-12, worst, 1e-12)
 
 

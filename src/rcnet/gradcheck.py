@@ -41,10 +41,6 @@ class GradCheckResult:
     #: coordinates that failed at STEP and were measured at a smaller step
     remeasured: int
 
-    @property
-    def passed(self) -> bool:
-        return self.max_rel_err <= TOL
-
 
 def _coords(shape: tuple[int, ...], limit: int, seed: int) -> list[tuple[int, ...]]:
     total = int(np.prod(shape)) if shape else 1

@@ -11,6 +11,11 @@ per-sample scalar weight:
 with the boundary rules P'_top = lateral(C_top) (no pre-fusion above the
 pyramid) and P_bottom = P'_bottom (nothing below to merge).
 
+Each site is reached by its parameter path, the way fpn and csn reach
+theirs: the forward reads `fgu/{i}/...`, `pre/{i}/...` and `post/{i}/...`
+from the `ParamStore` where it uses them, and hands `feature_guided_upsample`
+and `blend` plain tensors.
+
 A forward binds no activation past its last read. One name carries each
 level from its guided map through both fusions to its output, and each
 lateral map is released after its own level's pre-fusion, the last step
@@ -24,8 +29,6 @@ check reads. A tape still keeps exactly what backward reads.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from . import counting
 from .config import NeckConfig
@@ -51,25 +54,8 @@ from .tensor import (
 )
 
 
-#: the bias of the FGU's second logit conv; the first one adds the site's
+#: the bias of the FGU's second logit conv; the first one adds the site's bias
 _ZERO_BIAS = Tensor([0.0])
-
-
-@dataclass
-class FguSite:
-    weight: Tensor  # [1, 2d, 3, 3] spatial-logit conv
-    bias: Tensor
-    temperature: Tensor  # learnable scalar, initialized to 1
-
-
-@dataclass
-class FusionSite:
-    head_weight: Tensor  # [1, 2d, 1, 1] scalar-weight head
-    head_bias: Tensor
-    conv_weight: Tensor  # [d, d, 3, 3]
-    conv_bias: Tensor
-    gamma: Tensor
-    beta: Tensor
 
 
 def revfp_params(cfg: NeckConfig) -> ParamStore:
@@ -94,33 +80,18 @@ def _fusion_site_params(store: ParamStore, name: str, d: int):
     store.norm(f"{name}/norm", d)
 
 
-def fgu_site(store: ParamStore, i: int) -> FguSite:
-    return FguSite(
-        store[f"fgu/{i}/weight"], store[f"fgu/{i}/bias"], store[f"fgu/{i}/temperature"]
-    )
-
-
-def fusion_site(store: ParamStore, name: str) -> FusionSite:
-    return FusionSite(
-        store[f"{name}/head/weight"],
-        store[f"{name}/head/bias"],
-        store[f"{name}/conv/weight"],
-        store[f"{name}/conv/bias"],
-        store[f"{name}/norm/gamma"],
-        store[f"{name}/norm/beta"],
-    )
-
-
-def feature_guided_upsample(c_fine: Tensor, c_coarse: Tensor, site: FguSite) -> Tensor:
+def feature_guided_upsample(
+    c_fine: Tensor, c_coarse: Tensor, weight: Tensor, bias: Tensor, temperature: Tensor
+) -> Tensor:
     """Upsample `c_coarse` 2x and reweight it by attention from `c_fine`.
 
-    The spatial logits come from a 3x3 conv over concat(fine, upsampled),
-    scaled by temperature/sqrt(d); softmax over all positions is rescaled
-    by H*W so the weights average to exactly 1 and a constant-logit map
-    leaves the upsampled features untouched. The conv runs as two convs,
-    one per half of the weight's input channels, whose sum is the conv of
-    the concat: no [N, 2d, H, W] copy is made or kept for backward, and
-    the MACs are the same.
+    The spatial logits come from a 3x3 conv over concat(fine, upsampled)
+    by `weight` [1, 2d, 3, 3] and `bias`, scaled by `temperature`/sqrt(d);
+    softmax over all positions is rescaled by H*W so the weights average
+    to exactly 1 and a constant-logit map leaves the upsampled features
+    untouched. The conv runs as two convs, one per half of the weight's
+    input channels, whose sum is the conv of the concat: no [N, 2d, H, W]
+    copy is made or kept for backward, and the MACs are the same.
     """
     n, d, h, w = c_fine.shape
     if c_coarse.shape != (n, d, h // 2, w // 2) or h % 2 or w % 2:
@@ -129,10 +100,10 @@ def feature_guided_upsample(c_fine: Tensor, c_coarse: Tensor, site: FguSite) -> 
         )
     up = bilinear_upsample_x2(c_coarse)
     x = add(
-        conv2d(c_fine, narrow(site.weight, 1, 0, d), site.bias, padding=1),
-        conv2d(up, narrow(site.weight, 1, d, d), _ZERO_BIAS, padding=1),
+        conv2d(c_fine, narrow(weight, 1, 0, d), bias, padding=1),
+        conv2d(up, narrow(weight, 1, d, d), _ZERO_BIAS, padding=1),
     )
-    x = mul(x, scale(site.temperature, d**-0.5))
+    x = mul(x, scale(temperature, d**-0.5))
     x = scale(softmax(x, (2, 3)), float(h * w))
     counting.probe("weights", x)
     return mul(up, x)
@@ -151,24 +122,24 @@ def dynamic_weight(a: Tensor, b: Tensor, head_weight: Tensor, head_bias: Tensor)
     return sigmoid(conv2d(pooled, head_weight, head_bias))
 
 
-def blend(current: Tensor, other: Tensor, site: FusionSite) -> Tensor:
+def blend(current: Tensor, other: Tensor, head_weight: Tensor, head_bias: Tensor) -> Tensor:
     """w*current + (1-w)*other, w from the gate, which rejects unequal shapes."""
     with counting.scope("head"):
-        w = dynamic_weight(current, other, site.head_weight, site.head_bias)
+        w = dynamic_weight(current, other, head_weight, head_bias)
     x = add(mul(w, current), mul(sub(Tensor(1.0), w), other))
     counting.probe("blend", x)
     counting.probe("operands", (current, other))
     return x
 
 
-def _conv(x: Tensor, site: FusionSite) -> Tensor:
+def _conv(x: Tensor, params: ParamStore, site: str) -> Tensor:
     with counting.scope("conv"):
-        return conv2d(x, site.conv_weight, site.conv_bias, padding=1)
+        return conv2d(x, params[f"{site}/conv/weight"], params[f"{site}/conv/bias"], padding=1)
 
 
-def _norm(x: Tensor, site: FusionSite) -> Tensor:
+def _norm(x: Tensor, params: ParamStore, site: str) -> Tensor:
     with counting.scope("norm"):
-        return channel_norm(x, site.gamma, site.beta)
+        return channel_norm(x, params[f"{site}/norm/gamma"], params[f"{site}/norm/beta"])
 
 
 def revfp_forward(C: FeaturePyramid, params: ParamStore, cfg: NeckConfig) -> FeaturePyramid:
@@ -189,20 +160,23 @@ def revfp_forward(C: FeaturePyramid, params: ParamStore, cfg: NeckConfig) -> Fea
     for i in cfg.levels():
         if i < cfg.l_max:
             with counting.scope(f"fgu/{i}"):
-                x = feature_guided_upsample(lateral[i], lateral[i + 1], fgu_site(params, i))
-            with counting.scope(f"pre/{i}"):
-                site = fusion_site(params, f"pre/{i}")
-                x = blend(lateral.pop(i), x, site)
-                x = _conv(x, site)
-                x = _norm(x, site)
+                w, b, t = (params[f"fgu/{i}/{n}"] for n in ("weight", "bias", "temperature"))
+                x = feature_guided_upsample(lateral[i], lateral[i + 1], w, b, t)
+            site = f"pre/{i}"
+            with counting.scope(site):
+                w, b = params[f"{site}/head/weight"], params[f"{site}/head/bias"]
+                x = blend(lateral.pop(i), x, w, b)
+                x = _conv(x, params, site)
+                x = _norm(x, params, site)
         else:
             x = lateral.pop(i)  # top boundary: nothing above to pre-fuse
         counting.probe(f"p_prime/{i}", x)
         if i > cfg.l_min:  # the bottom boundary has nothing below to post-fuse
-            with counting.scope(f"post/{i}"):
-                site = fusion_site(params, f"post/{i}")
-                x = blend(x, maxpool2d(out[i - 1]), site)
-                x = _conv(x, site)
-                x = _norm(x, site)
+            site = f"post/{i}"
+            with counting.scope(site):
+                w, b = params[f"{site}/head/weight"], params[f"{site}/head/bias"]
+                x = blend(x, maxpool2d(out[i - 1]), w, b)
+                x = _conv(x, params, site)
+                x = _norm(x, params, site)
         out[i] = x
     return FeaturePyramid(out)

@@ -12,7 +12,7 @@ import pytest
 from rcnet import gradcheck as gradcheck_mod
 from rcnet import tensor as tensor_mod
 from rcnet.checks import gradient_end_to_end_check, gradient_op_checks
-from rcnet.gradcheck import check_gradients
+from rcnet.gradcheck import TOL, check_gradients
 from rcnet.rng import SplitMix64
 from rcnet.tensor import (
     Tensor,
@@ -70,7 +70,7 @@ def test_composed_graph_matches_finite_differences():
 
     results = check_gradients(build_loss, [x, w, b, gamma, beta], max_coords=512, seed=0)
     for r in results:
-        assert r.passed, f"{r.name}: {r.max_rel_err:.3e}"
+        assert r.max_rel_err <= TOL, f"{r.name}: {r.max_rel_err:.3e}"
 
 
 def test_a_straddled_kink_passes_at_the_first_step_that_clears_it():
@@ -80,7 +80,7 @@ def test_a_straddled_kink_passes_at_the_first_step_that_clears_it():
     # step is refused. The 1e-7 stencil clears the kink.
     x = Tensor(np.array([0.99985e-6]), requires_grad=True, name="x")
     (result,) = check_gradients(lambda: tsum(relu(x)), [x], max_coords=6, seed=0)
-    assert result.passed and result.remeasured == 1
+    assert result.max_rel_err <= TOL and result.remeasured == 1
     assert result.max_rel_err < 1e-8
 
 
@@ -96,7 +96,7 @@ def test_a_wrong_gradient_fails_at_every_step(monkeypatch):
     monkeypatch.setattr(tensor_mod, "_make", skewed)
     x = Tensor(np.array([0.99985e-6]), requires_grad=True, name="x")
     (result,) = check_gradients(lambda: tsum(relu(x)), [x], max_coords=6, seed=0)
-    assert not result.passed and result.remeasured == 1
+    assert result.max_rel_err > TOL and result.remeasured == 1
 
 
 def test_op_checks_need_no_smaller_step(monkeypatch):

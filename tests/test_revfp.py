@@ -6,14 +6,7 @@ import pytest
 from rcnet import checks, counting
 from rcnet.checks import SEVER_BIAS, _severed_store
 from rcnet.fixtures import extend_stem, synth_backbone
-from rcnet.revfp import (
-    FguSite,
-    blend,
-    dynamic_weight,
-    feature_guided_upsample,
-    revfp_forward,
-    revfp_params,
-)
+from rcnet.revfp import blend, dynamic_weight, feature_guided_upsample, revfp_forward, revfp_params
 from rcnet.rng import SplitMix64
 from rcnet.tensor import (
     Tape,
@@ -37,20 +30,21 @@ def rand(shape, seed=0):
 
 
 def rand_site(d, seed):
+    """An FGU site's weight, bias and temperature."""
     s = SplitMix64(seed)
-    return FguSite(
+    return (
         Tensor(s.standard_normal((1, 2 * d, 3, 3))),
         Tensor(s.standard_normal((1,))),
         Tensor(s.standard_normal((1,))),
     )
 
 
-def fgu_concat_form(c_fine, c_coarse, site):
+def fgu_concat_form(c_fine, c_coarse, weight, bias, temperature):
     """The guided upsample with one logit conv over the [N, 2d, H, W] concat."""
     d, h, w = c_fine.shape[1:]
     up = bilinear_upsample_x2(c_coarse)
-    logits = conv2d(concat([c_fine, up], 1), site.weight, site.bias, padding=1)
-    scaled = mul(logits, scale(site.temperature, d**-0.5))
+    logits = conv2d(concat([c_fine, up], 1), weight, bias, padding=1)
+    scaled = mul(logits, scale(temperature, d**-0.5))
     return mul(up, scale(softmax(scaled, (2, 3)), float(h * w)))
 
 
@@ -64,17 +58,12 @@ class TestFeatureGuidedUpsample:
         results = []
         for fgu in (feature_guided_upsample, fgu_concat_form):
             fine, coarse = (Tensor(x, requires_grad=True) for x in data)
-            params = FguSite(
-                *(Tensor(t.data, requires_grad=True) for t in (site.weight, site.bias, site.temperature))
-            )
+            params = [Tensor(t.data, requires_grad=True) for t in site]
             with Tape() as tape:
-                out = fgu(fine, coarse, params)
+                out = fgu(fine, coarse, *params)
                 loss = tsum(mul(out, Tensor(g)))
             backward(tape, loss)
-            results.append(
-                [out.data, fine.grad, coarse.grad]
-                + [t.grad for t in (params.weight, params.bias, params.temperature)]
-            )
+            results.append([out.data, fine.grad, coarse.grad] + [t.grad for t in params])
         for got, want in zip(*results):
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
@@ -82,10 +71,9 @@ class TestFeatureGuidedUpsample:
     def test_constant_logits_leave_upsample_unchanged(self):
         d = 4
         fine, coarse = rand((1, d, 8, 8), 1), rand((1, d, 4, 4), 2)
-        site = FguSite(
-            Tensor(np.zeros((1, 2 * d, 3, 3))), Tensor([3.7]), Tensor([1.0])
+        out = feature_guided_upsample(
+            fine, coarse, Tensor(np.zeros((1, 2 * d, 3, 3))), Tensor([3.7]), Tensor([1.0])
         )
-        out = feature_guided_upsample(fine, coarse, site)
         up = bilinear_upsample_x2(coarse)
         assert np.array_equal(out.data, up.data)
 
@@ -93,7 +81,7 @@ class TestFeatureGuidedUpsample:
         d = 4
         seen = {}
         with counting.probes(seen.__setitem__):
-            feature_guided_upsample(rand((2, d, 6, 6), 3), rand((2, d, 3, 3), 4), rand_site(d, 5))
+            feature_guided_upsample(rand((2, d, 6, 6), 3), rand((2, d, 3, 3), 4), *rand_site(d, 5))
         w = seen["weights"].data
         assert np.max(np.abs(w.mean(axis=(2, 3)) - 1.0)) <= 1e-12
 
@@ -102,22 +90,23 @@ class TestFeatureGuidedUpsample:
         logits: weights are exp-normalized over all positions, times H*W."""
         d = 4
         fine, coarse = rand((1, d, 6, 6), 6), rand((1, d, 3, 3), 7)
-        site = rand_site(d, 8)
+        weight, bias, temperature = rand_site(d, 8)
         up = bilinear_upsample_x2(coarse)
-        logits = conv2d(concat([fine, up], 1), site.weight, site.bias, padding=1).data
+        logits = conv2d(concat([fine, up], 1), weight, bias, padding=1).data
 
-        doubled = FguSite(site.weight, site.bias, Tensor(2.0 * site.temperature.data))
-        got = feature_guided_upsample(fine, coarse, doubled).data
+        doubled = Tensor(2.0 * temperature.data)
+        got = feature_guided_upsample(fine, coarse, weight, bias, doubled).data
 
-        scaled = 2.0 * site.temperature.data[0] * logits / np.sqrt(d)
+        scaled = 2.0 * temperature.data[0] * logits / np.sqrt(d)
         e = np.exp(scaled - scaled.max(axis=(2, 3), keepdims=True))
         weights = e / e.sum(axis=(2, 3), keepdims=True) * 36.0
         assert np.max(np.abs(got - up.data * weights)) <= 1e-12
 
     def test_resolution_mismatch_rejected(self):
         d = 4
+        fine, coarse = rand((1, d, 8, 8), 9), rand((1, d, 3, 3), 10)
         with pytest.raises(ValueError, match="half"):
-            feature_guided_upsample(rand((1, d, 8, 8), 9), rand((1, d, 3, 3), 10), rand_site(d, 11))
+            feature_guided_upsample(fine, coarse, *rand_site(d, 11))
 
 
 class TestDynamicWeight:
@@ -153,18 +142,10 @@ class TestDynamicWeight:
             assert got.tobytes() == want.tobytes()
 
 
-def _site(d, seed):
+def _head(d, seed):
+    """A fusion gate's head weight and bias."""
     s = SplitMix64(seed)
-    from rcnet.revfp import FusionSite
-
-    return FusionSite(
-        Tensor(s.standard_normal((1, 2 * d, 1, 1))),
-        Tensor(s.standard_normal((1,))),
-        Tensor(s.standard_normal((d, d, 3, 3))),
-        Tensor(s.standard_normal((d,))),
-        Tensor(np.abs(s.standard_normal((d,))) + 0.5),
-        Tensor(s.standard_normal((d,))),
-    )
+    return Tensor(s.standard_normal((1, 2 * d, 1, 1))), Tensor(s.standard_normal((1,)))
 
 
 class TestFusionSteps:
@@ -172,15 +153,15 @@ class TestFusionSteps:
         d = 4
         c_i, guided = rand((1, d, 6, 6), 20), rand((1, d, 6, 6), 21)
         for bias, want in [(SEVER_BIAS, c_i), (-SEVER_BIAS, guided)]:
-            site = _site(d, 22)
-            site.head_bias.data[:] = bias
-            site.head_weight.data[:] = 0.0
-            assert np.array_equal(blend(c_i, guided, site).data, want.data)
+            head_weight, head_bias = _head(d, 22)
+            head_bias.data[:] = bias
+            head_weight.data[:] = 0.0
+            assert np.array_equal(blend(c_i, guided, head_weight, head_bias).data, want.data)
 
     def test_blend_inside_envelope(self):
         d = 4
         c_i, guided = rand((2, d, 6, 6), 23), rand((2, d, 6, 6), 24)
-        x = blend(c_i, guided, _site(d, 25)).data
+        x = blend(c_i, guided, *_head(d, 25)).data
         lo = np.minimum(c_i.data, guided.data)
         hi = np.maximum(c_i.data, guided.data)
         assert np.all(x >= lo - 1e-12) and np.all(x <= hi + 1e-12)
@@ -188,12 +169,12 @@ class TestFusionSteps:
     def test_post_matches_hand_composition(self):
         d = 4
         p_prime, p_prev = rand((1, d, 4, 4), 26), rand((1, d, 8, 8), 27)
-        site = _site(d, 28)
+        head_weight, head_bias = _head(d, 28)
         down = maxpool2d(p_prev)
-        got = blend(p_prime, down, site).data
+        got = blend(p_prime, down, head_weight, head_bias).data
 
         w = sigmoid(
-            conv2d(global_avg_pool(concat([p_prime, down], 1)), site.head_weight, site.head_bias)
+            conv2d(global_avg_pool(concat([p_prime, down], 1)), head_weight, head_bias)
         ).data
         want = w * p_prime.data + (1.0 - w) * down.data
         assert np.max(np.abs(got - want)) <= 1e-12
@@ -201,7 +182,7 @@ class TestFusionSteps:
     def test_unequal_operands_rejected(self):
         d = 4
         with pytest.raises(ValueError, match="operand shapes"):
-            blend(rand((1, d, 4, 4), 29), rand((1, d, 8, 8), 30), _site(d, 31))
+            blend(rand((1, d, 4, 4), 29), rand((1, d, 8, 8), 30), *_head(d, 31))
 
 
 class TestRevfpForward:
@@ -256,6 +237,21 @@ class TestRevfpForward:
         result = checks.check_revfp_locality(mini_cfg)
         assert result.passed is False
         assert "expected_change=False" in result.measured
+
+    @pytest.mark.parametrize("dropped", [{"operands"}, None], ids=["operands", "all"])
+    def test_convexity_check_fails_when_sites_go_unprobed(self, mini_cfg, monkeypatch, dropped):
+        # a forward that stops probing its fusions reduces no site, and
+        # must not pass on the 0.0 it starts from
+        real = counting.probe
+
+        def probe(name, value):
+            if dropped is not None and name not in dropped:
+                real(name, value)
+
+        monkeypatch.setattr(counting, "probe", probe)
+        result = checks.check_fusion_convexity(mini_cfg)
+        assert result.passed is False
+        assert result.measured == "reduced []"
 
     def test_missing_level_rejected(self, mini_cfg):
         store = revfp_params(mini_cfg)

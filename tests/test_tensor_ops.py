@@ -12,7 +12,7 @@ import pytest
 from rcnet import counting, tensor
 from rcnet.csn import csn_params, rcnet_forward
 from rcnet.fixtures import extend_stem, synth_backbone
-from rcnet.gradcheck import check_gradients
+from rcnet.gradcheck import TOL, check_gradients
 from rcnet.revfp import revfp_params
 from rcnet.rng import SplitMix64
 from rcnet.tensor import (
@@ -290,7 +290,7 @@ class TestConv2d:
             return tsum(mul(conv2d(x, w, b, stride, padding), proj))
 
         for result in check_gradients(build_loss, [x, w, b], max_coords=512, seed=0):
-            assert result.passed, result
+            assert result.max_rel_err <= TOL, result
 
     def test_taped_conv_keeps_no_im2col_buffer(self):
         n, c, h, w = 1, 8, 32, 32
@@ -672,7 +672,7 @@ class TestChannelNorm:
             return tsum(mul(channel_norm(x, gamma, beta), proj))
 
         for result in check_gradients(build_loss, [x, gamma, beta], max_coords=512, seed=0):
-            assert result.passed, result
+            assert result.max_rel_err <= TOL, result
 
     @pytest.mark.parametrize("x_grad,gamma_grad", [(True, True), (True, False), (False, True)])
     def test_gradients_match_composite(self, x_grad, gamma_grad):

@@ -6,15 +6,16 @@ when every enabled check in the report passed and 1 when one failed. It
 is 2 for a usage error. A bad flag or value, a config file that cannot
 be read or holds no valid config, an `--out` or `--fixtures` path that
 cannot be opened, and a seed outside the unsigned 64-bit range end with
-a usage message and no report. `--out` is checked after the config loads
-and before any work runs, but opened only to write a finished report: a
-run that ends in a usage or loader error creates no file there and
-leaves an existing one untouched. A `--fixtures` file that opens but
-holds no valid FPZ1 container raises the loader's `ContainerError` or
-`PyramidError`. `forward` holds the container to the stem's input
-contract, `cfg.input_shapes(cfg.stage_levels())`, before it builds any
-parameter, so a container written at another width raises
-`PyramidError` and no report is written.
+a usage message and no report. So does a `--fixtures` file that opens
+but holds no valid FPZ1 container, or a container `forward` cannot run:
+`forward` holds it to the stem's input contract,
+`cfg.input_shapes(cfg.stage_levels())`, before it builds any parameter.
+The message is `--fixtures: ` and the loader's, such as `--fixtures:
+b.fpz level 3: input (1, 16, 64, 64), config (1, 512, 64, 64)` for a
+container written at another width. `--out` is checked after the config
+loads and before any work runs, but opened only to write a finished
+report: a run that ends in a usage error creates no file there and
+leaves an existing one untouched.
 An unknown or empty `--checks` selection writes a report with no checks
 and an `error` field before any check runs.
 """
@@ -43,7 +44,15 @@ from .config import NeckConfig, desk_config, load_config, paper_width
 from .csn import csn_params, rcnet_forward
 from .fixtures import extend_stem, synth_backbone
 from .fpn import fpn_forward, fpn_params
-from .pyramid import FeaturePyramid, load_pyramid, pyramid_digest, require_shapes, save_pyramid
+from .pyramid import (
+    ContainerError,
+    FeaturePyramid,
+    PyramidError,
+    load_pyramid,
+    pyramid_digest,
+    require_shapes,
+    save_pyramid,
+)
 from .revfp import revfp_forward, revfp_params
 
 SCHEMA = "rcnet-report/1"
@@ -141,7 +150,7 @@ def _load_stages(path: str, cfg: NeckConfig) -> FeaturePyramid:
     """The FPZ1 container at `path`; `PyramidError` unless it holds the
     config's backbone stages at the shapes `synth_backbone` draws."""
     C = load_pyramid(path)
-    require_shapes(C, cfg.input_shapes(cfg.stage_levels()), "--fixtures")
+    require_shapes(C, cfg.input_shapes(cfg.stage_levels()), path)
     return C
 
 
@@ -222,6 +231,10 @@ def main(argv=None) -> int:
         checks, extras = COMMANDS[args.command](args, cfg)
     except SelectionError as err:
         checks, extras, code = [], {"error": str(err)}, 2
+    except (ContainerError, PyramidError) as err:
+        if getattr(args, "fixtures", None) is None:
+            raise
+        parser.error(f"--fixtures: {err}")
     except OSError as err:
         if err.filename is None or err.filename != getattr(args, "fixtures", None):
             raise

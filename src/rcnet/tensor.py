@@ -109,12 +109,21 @@ input vjp, so the input's grad is not yet live while the weight vjp
 rebuilds the input; at batch 1 the weight vjp's GEMM writes the weight
 grad itself, with no batch sum into a second array.
 
-The im2col buffer is built one block at a time, by one fill routine that
-copies each tap's in-bounds span straight from x and zeroes only the
-strips that read padding (x is never padded). The forward takes blocks of
-output rows, the least power of two holding 1024 output pixels that is a
-multiple of 16, and writes each block's GEMM into its rows of the
-output; a map one block covers is one block. The weight vjp takes blocks
+One rule says which input pixel a conv tap reads: pad with zeros, then
+slice a window. An im2col block copies the input rows it reads into a
+zero-padded slab (a view of x when padding is 0) and gathers every tap
+with one copy of a read-only windowed view of it; the im2col input vjp
+adds each tap into a window of a zero-padded grad; the channel-first
+conv adds each tap's window of its zero-padded maps and scatters its
+grad from a zero-padded g. A tap that reads padding copies +0.0, or adds
++0.0 to a sum that starts at +0.0 and so is never -0.0, which moves no
+bit: tests/test_conv_taps.py holds both paths to the per-tap clipped
+form bitwise.
+
+The im2col buffer is built one block at a time. The forward takes
+blocks of output rows, the least power of two holding 1024 output pixels
+that is a multiple of 16, and writes each block's GEMM into its rows of
+the output; a map one block covers is one block. The weight vjp takes blocks
 of input channels, a power of two that divides Cin and whose buffer is no
 bigger than one forward block (at least 16 weight columns), and writes
 each block's GEMM into its columns of the weight grad. Every output
@@ -143,16 +152,14 @@ numpy pays a fixed cost for every row it loops over. The upsample and its
 adjoint lay the lines along an axis end to end and form each shifted sum
 in one pass over a block of whole lines. The blocks hold about
 `_PASS_BLOCK` elements, so the temporaries stay in cache between the
-passes. relu is one np.maximum; channel_norm's forward works in two
-buffers, not five; and a stride-1 im2col whose output rows are as wide
-as its input rows copies each tap as one span per channel plane. A
-shifted pass is wrong only where it crosses the edge of a line (a
-clamped upsample tap, an im2col column wrapped into the next row). The
-rule a new kernel must keep: such an element is overwritten afterwards,
-from its own operands by the same operations in the same order as the
-per-row form, never corrected by arithmetic (taking the wrong term back
-out moves the bits). Every output and gradient is then bitwise the
-per-row form's; tests/test_flat_kernels.py holds each kernel to it.
+passes. relu is one np.maximum, and channel_norm's forward works in two
+buffers, not five. A shifted pass is wrong only where it crosses the
+edge of a line (a clamped upsample tap). The rule a new kernel must
+keep: such an element is overwritten afterwards, from its own operands
+by the same operations in the same order as the per-row form, never
+corrected by arithmetic (taking the wrong term back out moves the
+bits). Every output and gradient is then bitwise the per-row form's;
+tests/test_flat_kernels.py holds each kernel to it.
 """
 
 from __future__ import annotations
@@ -906,88 +913,65 @@ def _blocks(n: int, step: int):
 def _im2col(x, kh, kw, stride, padding, r0, r1, Wp) -> np.ndarray:
     """[N, C*kh*kw, (r1-r0)*Wp]: the pixels each kernel tap reads for output rows r0:r1.
 
-    Each tap copies its in-bounds span straight from x and zeroes only the
-    strips that read padding, so no padded copy of x is made. Where output
-    rows are as wide as input rows (stride 1, Wp == W) and each channel
-    plane of x is contiguous, a tap's rows read one flat span of the plane
-    at a fixed offset, so the span is copied in one piece per plane; the
-    columns it wraps into the next or previous row are then zeroed with the
-    padding strips.
+    The input rows the block reads are laid in a zero-padded slab (a view
+    of x when padding is 0); tap (i, j) of output pixel (y, x) reads slab
+    pixel (y*stride + i, x*stride + j), so one copy of a read-only
+    windowed view of the slab gathers every tap.
     """
     N, C, H, W = x.shape
     R = r1 - r0
-    cols = np.empty((N, C, kh, kw, R, Wp), dtype=np.float64)
-    flat = stride == 1 and Wp == W and x.strides[2:] == (W * x.itemsize, x.itemsize)
-    planes = x.reshape(N, C, H * W) if flat else None  # a view
-    for i in range(kh):
-        oy, iy = _tap_span(i, padding, H, R, stride, r0)
-        for j in range(kw):
-            ox, ix = _tap_span(j, padding, W, Wp, stride)
-            tap = cols[:, :, i, j]
-            if flat:
-                # output pixel q of the rows oy reads plane pixel q + shift;
-                # the few clipped at the plane's ends are wrapped columns
-                shift = (iy.start - oy.start) * W + ix.start - ox.start
-                lo, hi = max(oy.start * W, -shift), min(oy.stop * W, H * W - shift)
-                if lo < hi:
-                    tap.reshape(N, C, R * W)[:, :, lo:hi] = planes[:, :, lo + shift : hi + shift]
-            else:
-                tap[:, :, oy, ox] = x[:, :, iy, ix]
-            if oy.start:
-                tap[:, :, : oy.start] = 0.0
-            if oy.stop < R:
-                tap[:, :, oy.stop :] = 0.0
-            if ox.start:
-                tap[:, :, oy, : ox.start] = 0.0
-            if ox.stop < Wp:
-                tap[:, :, oy, ox.stop :] = 0.0
-    return cols.reshape(N, C * kh * kw, R * Wp)
-
-
-def _tap_span(i: int, padding: int, n_in: int, n_out: int, stride: int = 1, start: int = 0):
-    """Output and input ranges along one axis where tap i reads inside the input.
-
-    Of the `n_out` outputs from `start` on, output o (counted from 0) reads
-    input (start + o)*stride + i - padding; outputs whose read falls in the
-    zero padding are left out of both ranges.
-    """
-    first = start * stride + i - padding  # the input output 0 reads
-    lo = min(n_out, max(0, -(first // stride)))
-    hi = max(lo, min(n_out, (n_in - 1 - first) // stride + 1))
-    a = first + lo * stride
-    return slice(lo, hi), slice(a, a + (hi - lo - 1) * stride + 1 if hi > lo else a, stride)
+    top = r0 * stride - padding  # the x row the slab's first row stands for
+    rows = (R - 1) * stride + kh
+    if padding:
+        slab = np.zeros((N, C, rows, W + 2 * padding), dtype=np.float64)
+        lo, hi = max(top, 0), min(top + rows, H)
+        if lo < hi:
+            slab[:, :, lo - top : hi - top, padding : padding + W] = x[:, :, lo:hi]
+    else:
+        slab = x[:, :, top : top + rows]
+    sn, sc, sh, sw = slab.strides
+    taps = np.lib.stride_tricks.as_strided(
+        slab,
+        (N, C, kh, kw, R, Wp),
+        (sn, sc, sh, sw, sh * stride, sw * stride),
+        writeable=False,
+    )
+    return taps.copy().reshape(N, C * kh * kw, R * Wp)
 
 
 def _conv2d_channel_first(x, weight, bias, padding, Hp, Wp, macs) -> Tensor:
     """Stride-1 conv that contracts the channels before the taps.
 
     Z = W . x holds one [H, W] map per (output channel, tap); the output
-    sums each tap's shifted window of Z. For Cout < Cin this buffer is
-    smaller than the [Cin, kh, kw] im2col, and both vjps work on the
+    sums each tap's window of the zero-padded Z. For Cout < Cin this buffer
+    is smaller than the [Cin, kh, kw] im2col, and both vjps work on the
     matching [Cout, kh, kw] scatter of the output grad, so no buffer scales
-    with Cin*kh*kw. Padding only clips the windows; nothing is padded.
+    with Cin*kh*kw. A tap that reads padding adds +0.0 to a sum that starts
+    at +0.0 and so is never -0.0, which moves no bit.
     """
     N, Cin, H, W = x.shape
     Cout, _, kh, kw = weight.shape
     K = Cout * kh * kw
     kx = _kept(x)
     wk = weight.data.transpose(0, 2, 3, 1).reshape(K, Cin)  # rows ordered (o, i, j)
-    spans = [
-        (i, j, _tap_span(i, padding, H, Hp), _tap_span(j, padding, W, Wp))
-        for i in range(kh)
-        for j in range(kw)
-    ]
 
     z = np.matmul(wk, x.data.reshape(N, Cin, H * W)).reshape(N, Cout, kh, kw, H, W)
+    zp = np.zeros((N, Cout, kh, kw, H + 2 * padding, W + 2 * padding), dtype=np.float64)
+    zp[..., padding : padding + H, padding : padding + W] = z
     out = np.zeros((N, Cout, Hp, Wp), dtype=np.float64)
-    for i, j, (oy, iy), (ox, ix) in spans:
-        out[:, :, oy, ox] += z[:, :, i, j, iy, ix]
+    for i, j in np.ndindex(kh, kw):  # tap (i, j) of output pixel (y, x) reads zp pixel (y + i, x + j)
+        out += zp[:, :, i, j, i : i + Hp, j : j + Wp]
     out += bias.data[None, :, None, None]
 
     def scatter(g):  # [N, K, H*W]: each tap's output grad at the input pixel it read
-        gz = np.zeros((N, Cout, kh, kw, H, W), dtype=np.float64)
-        for i, j, (oy, iy), (ox, ix) in spans:
-            gz[:, :, i, j, iy, ix] = g[:, :, oy, ox]
+        # tap (i, j) reads input pixel (y, x) for the output at gp pixel
+        # (y + a - i, x + b - j); gp pads g by kh-1 and kw-1, so none is outside it
+        a, b = padding + kh - 1, padding + kw - 1
+        gp = np.zeros((N, Cout, Hp + 2 * kh - 2, Wp + 2 * kw - 2), dtype=np.float64)
+        gp[:, :, kh - 1 : kh - 1 + Hp, kw - 1 : kw - 1 + Wp] = g
+        gz = np.empty((N, Cout, kh, kw, H, W), dtype=np.float64)
+        for i, j in np.ndindex(kh, kw):
+            gz[:, :, i, j] = gp[:, :, a - i : a - i + H, b - j : b - j + W]
         return gz.reshape(N, K, H * W)
 
     def vjp_x(g):

@@ -16,7 +16,6 @@ from rcnet.pyramid import (
     ContainerError,
     FeaturePyramid,
     HeaderError,
-    PyramidError,
     load_pyramid,
     save_pyramid,
 )
@@ -242,16 +241,29 @@ def test_config_field_of_the_wrong_type_is_a_usage_error(field, value, tmp_path,
     assert not out.exists()
 
 
-def test_bad_fixtures_container_raises_the_loader_error(mini_cfg_file, tmp_path):
+def fixtures_usage_error(argv, capsys, message):
+    """Run `argv`; require exit 2, no report, and `--fixtures: ` plus `message` on stderr."""
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage" in captured.err and f"--fixtures: {message}" in captured.err, captured.err
+
+
+def test_bad_fixtures_container_raises_the_loader_error(mini_cfg_file, tmp_path, capsys):
+    # a file that opens but is no container is a usage error that quotes the loader
     bad = tmp_path / "bad.fpz"
     bad.write_bytes(b"XXXX")
-    with pytest.raises(ContainerError):
-        main(["forward", "fpn", "--config", mini_cfg_file, "--fixtures", str(bad)])
+    with pytest.raises(ContainerError) as loader:
+        load_pyramid(str(bad))
+    argv = ["forward", "fpn", "--config", mini_cfg_file, "--fixtures", str(bad)]
+    fixtures_usage_error(argv, capsys, str(loader.value))
 
 
 def test_a_run_that_ends_in_an_error_leaves_out_as_it_was(mini_cfg_file, tmp_path):
-    # --out was truncated before the run: a usage error left an empty file,
-    # and a loader error emptied an existing report
+    # --out was truncated before the run: an unopenable --fixtures path left
+    # an empty file, and a container the loader rejects emptied an existing report
     out = tmp_path / "r.json"
     argv = ["forward", "fpn", "--config", mini_cfg_file, "--out", str(out), "--fixtures"]
     with pytest.raises(SystemExit) as err:
@@ -261,7 +273,10 @@ def test_a_run_that_ends_in_an_error_leaves_out_as_it_was(mini_cfg_file, tmp_pat
     bad = tmp_path / "bad.fpz"
     bad.write_bytes(b"FPZ1" + (8).to_bytes(4, "little") + b"not json")
     with pytest.raises(HeaderError):
+        load_pyramid(str(bad))
+    with pytest.raises(SystemExit) as err:
         main(argv + [str(bad)])
+    assert err.value.code == 2
     assert out.read_text() == "an earlier report"
 
 
@@ -278,28 +293,29 @@ def test_forward_accepts_saved_fixtures(mini_cfg_file, tmp_path, capsys):
     assert read_report(out)["digests"] == read_report(direct)["digests"]
 
 
-def test_forward_rejects_fixtures_of_another_width(tmp_path, monkeypatch):
+def test_forward_rejects_fixtures_of_another_width(tmp_path, monkeypatch, capsys):
     # a desk-width container under --paper-width used to die inside a conv
     # with "input channels 64 != weight in-channels 2048"
     fpz = tmp_path / "b.fpz"
     assert main(["gen-fixtures", "--fixtures", str(fpz)]) == 0
+    capsys.readouterr()
 
     def no_params(*args):
         raise AssertionError("a parameter was built before the container was checked")
 
     monkeypatch.setattr(ParamStore, "_add", no_params)
-    want = r"--fixtures level 3: input \(1, 16, 64, 64\), config \(1, 512, 64, 64\)"
-    with pytest.raises(PyramidError, match=want):
-        main(["forward", "rcnet", "--paper-width", "--fixtures", str(fpz)])
+    out = tmp_path / "r.json"
+    argv = ["forward", "rcnet", "--paper-width", "--fixtures", str(fpz), "--out", str(out)]
+    fixtures_usage_error(argv, capsys, f"{fpz} level 3: input (1, 16, 64, 64), config (1, 512, 64, 64)")
+    assert not out.exists()
 
 
-def test_forward_rejects_fixtures_missing_a_stage(mini_cfg_file, mini_cfg, tmp_path):
+def test_forward_rejects_fixtures_missing_a_stage(mini_cfg_file, mini_cfg, tmp_path, capsys):
     full = synth_backbone(mini_cfg)
     short = tmp_path / "short.fpz"
     save_pyramid(str(short), FeaturePyramid({i: full[i] for i in (3, 4)}))
-    want = r"--fixtures level 5: input absent, config \(1, 16, 8, 8\)"
-    with pytest.raises(PyramidError, match=want):
-        main(["forward", "fpn", "--config", mini_cfg_file, "--fixtures", str(short)])
+    argv = ["forward", "fpn", "--config", mini_cfg_file, "--fixtures", str(short)]
+    fixtures_usage_error(argv, capsys, f"{short} level 5: input absent, config (1, 16, 8, 8)")
 
 
 def test_count_reports_zero_cost_shift(mini_cfg_file, tmp_path):

@@ -1,13 +1,14 @@
 """Byte-equality oracles for the kernels that run in long flat passes.
 
-The upsample and its adjoint, relu, the channel_norm forward and the
-stride-1 im2col fill each run over the whole array in a few long passes
-and overwrite the elements where a pass crosses a row or a plane edge.
-Each case here compares one of them with the per-row or per-element form
-it replaced (channel_norm with the composite of taped ops it stands for)
-and requires equal bytes: the same IEEE operations in the same order
-give the same bits. The 2x2 max pool, a fold of np.maximum over its four
-strided window views, is held to a per-window loop the same way.
+The upsample and its adjoint, relu and the channel_norm forward each run
+over the whole array in a few long passes and overwrite the elements
+where a pass crosses a row edge. Each case here compares one of them
+with the per-row form it replaced (channel_norm with the composite of
+taped ops it stands for) and requires equal bytes: the same IEEE
+operations in the same order give the same bits. The 2x2 max pool, a
+fold of np.maximum over its four strided window views, is held to a
+per-window loop the same way, and the im2col, one copy of a windowed
+view of a zero-padded slab, to a per-element copy.
 
 The relu and max-pool tie rules rest on np.maximum returning its second
 operand when its operands compare equal (-0.0 against 0.0 included). CI
@@ -267,7 +268,7 @@ def test_im2col_equals_per_element(k, padding, stride):
         hp = (h + 2 * padding - k) // stride + 1
         wp = (w + 2 * padding - k) // stride + 1
         # N = 2; a channel slice of a wider array, as the weight vjp passes
-        # in; and planes that are not contiguous, which take the per-row copy
+        # in; and planes that are not contiguous
         x = spread((2, 5, h, w), seed=h * 10 + w)
         for view in (x, x[:, 1:4], np.asfortranarray(x)):
             for r0 in range(hp):

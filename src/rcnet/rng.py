@@ -45,7 +45,9 @@ A 65536-item draw on a persistent second thread was slower even cold
 
 from __future__ import annotations
 
+import math
 import os
+import sys
 import threading
 
 import numpy as np
@@ -195,11 +197,17 @@ class SplitMix64:
         return _draw(_words_step, out, self._seed, self._take(count))
 
     def standard_normal(self, shape: tuple[int, ...]) -> np.ndarray:
-        """Standard normals via Box-Muller; output is row-major over `shape`."""
+        """Standard normals via Box-Muller; output is row-major over `shape`.
+
+        A shape with a negative extent, or with more values than one numpy
+        array can hold, raises `ValueError` before the stream advances.
+        """
         if any(extent < 0 for extent in shape):
             raise ValueError(f"standard_normal: negative extent in shape {shape}")
-        n = int(np.prod(shape))
+        n = math.prod(int(extent) for extent in shape)  # np.prod wraps at 2**64
         pairs = (n + 1) // 2
+        if 2 * pairs * 8 > sys.maxsize:  # numpy refuses the buffer; the stream stays put
+            raise ValueError(f"standard_normal: shape {shape} holds {n} values, more than one array can hold")
         z = np.empty((pairs, 2), dtype=np.float64)
         _draw(_normals_step, z, self._seed, self._take(2 * pairs))
         return z.reshape(-1)[:n].reshape(shape)

@@ -129,9 +129,20 @@ bigger than one forward block (at least 16 weight columns), and writes
 each block's GEMM into its columns of the weight grad. Every output
 element is then formed by the same BLAS kernel as in one whole-map GEMM,
 so the bits do not depend on the blocks; `_conv_blocks` says which block
-shapes broke that, and small convs run as one block. Because no conv
-frees a whole-map buffer any more, importing this module under glibc fixes
-malloc's mmap and trim thresholds (`_pin_malloc_thresholds`).
+shapes broke that, and small convs run as one block.
+
+Allocator rule, under glibc only (`_LIBC`; any other C library is left
+alone): the thresholds keep the heap through a pass, and each sweep
+gives its free pages back at its end. Importing this module pins
+malloc's mmap threshold at 32 MiB and its trim threshold at 64 MiB, the
+values glibc reaches by itself after freeing one whole-map buffer, which
+no blocked conv allocates. So maps and im2col blocks come from the heap,
+and a pass reuses the pages it faulted in instead of handing them back
+and faulting them in again op after op. Every `backward` then ends with
+one `malloc_trim(0)`, a sweep that raises included: the tape it freed
+leaves ~90 MiB of free heap pages at paper width, which would otherwise
+stay resident under the caller's next allocations. A tape-free forward
+never trims.
 
 The resampling kernels read strided views rather than building gather
 buffers. maxpool2d (2x2, stride 2) takes np.maximum over its four window
@@ -346,6 +357,36 @@ class Tape:
 _ACTIVE_TAPE: ContextVar[Tape | None] = ContextVar("rcnet_active_tape", default=None)
 
 
+def _glibc() -> ctypes.CDLL | None:
+    """glibc with its mmap and trim thresholds pinned; None under any other C library.
+
+    glibc raises its mmap threshold only when it frees a large mmapped
+    chunk (to that chunk's size, at most 32 MiB), and its trim threshold
+    with it (to twice that). A whole-map im2col buffer did that in the first
+    conv of a process. Blocked buffers never do, so the heap top was given
+    back and faulted in again on every pass: about 7000 minor faults and 20
+    ms of system time in a desk-width forward pass, 74000 and 180 ms in a
+    `verify` pass. Fixing both at their largest dynamic values gives every
+    process the state the whole-map buffers led to.
+    """
+    try:
+        version = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):
+        version = None
+    if not version:
+        return None
+    libc = ctypes.CDLL(None)
+    libc.mallopt.argtypes, libc.mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    libc.malloc_trim.argtypes, libc.malloc_trim.restype = (ctypes.c_size_t,), ctypes.c_int
+    libc.mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    libc.mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+    return libc
+
+
+#: The allocator policy's one handle: pinned at import, trimmed by `backward`.
+_LIBC = _glibc()
+
+
 def backward(tape: Tape, loss: Tensor):
     """Reverse-sweep `tape`, accumulating dLoss/dLeaf into leaf `.grad`s.
 
@@ -361,7 +402,9 @@ def backward(tape: Tape, loss: Tensor):
     ops produced, `loss` included, has `grad is None`; only leaves keep
     theirs. At most the gradients of the tensors still awaiting their
     producer's vjp are live at any point of the sweep. A leaf gradient
-    that ends the sweep non-finite raises `NonFiniteError`.
+    that ends the sweep non-finite raises `NonFiniteError`. Every sweep,
+    one that raises included, ends by handing the free heap back to the
+    OS (the allocator rule in the module docstring).
     """
     if not isinstance(tape, Tape):
         raise TapeError(f"backward needs a Tape, got {type(tape).__name__}")
@@ -381,21 +424,25 @@ def backward(tape: Tape, loss: Tensor):
         raise TapeError("loss is not on the tape (detached graph)")
     tape._spent = True
     tape._nodes = []
-    for ref in tape._recipes:  # the vjps hold what they read; a tensor kept past backward holds none
-        t = ref()
-        if t is not None:
-            t._recipe = None
-    tape._recipes = []
-    del nodes[idx + 1 :]  # ops recorded after the loss do not reach it
-    interior = {out for out, _ in nodes}  # every other cell is a leaf here
-    leaves = {cell: None for _, ins in nodes for cell, _ in ins if cell not in interior}
-    loss.grad = np.ones_like(loss.data)
-    while nodes:
-        _sweep_node(nodes.pop(), interior)  # the node, and all it holds, is freed on return
-    for cell in leaves:
-        if cell.grad is not None and not np.isfinite(cell.grad).all():
-            label = f"leaf {cell.name!r}" if cell.name else f"a leaf of shape {cell.shape}"
-            raise NonFiniteError(f"backward produced a non-finite gradient for {label}")
+    try:
+        for ref in tape._recipes:  # the vjps hold what they read; a tensor kept past backward holds none
+            t = ref()
+            if t is not None:
+                t._recipe = None
+        tape._recipes = []
+        del nodes[idx + 1 :]  # ops recorded after the loss do not reach it
+        interior = {out for out, _ in nodes}  # every other cell is a leaf here
+        leaves = {cell: None for _, ins in nodes for cell, _ in ins if cell not in interior}
+        loss.grad = np.ones_like(loss.data)
+        while nodes:
+            _sweep_node(nodes.pop(), interior)  # the node, and all it holds, is freed on return
+        for cell in leaves:
+            if cell.grad is not None and not np.isfinite(cell.grad).all():
+                label = f"leaf {cell.name!r}" if cell.name else f"a leaf of shape {cell.shape}"
+                raise NonFiniteError(f"backward produced a non-finite gradient for {label}")
+    finally:
+        if _LIBC is not None:  # hand every free heap page back to the OS
+            _LIBC.malloc_trim(0)
 
 
 def _sweep_node(node: _Node, interior: set):
@@ -843,34 +890,6 @@ _GEMM_TILE = 16
 
 #: A conv with fewer weights than this runs as one block.
 _BLOCK_MIN_WEIGHTS = 4096
-
-
-def _pin_malloc_thresholds() -> None:
-    """Fix glibc's mmap and trim thresholds where its own heuristic settles after a large buffer.
-
-    glibc raises its mmap threshold only when it frees a large mmapped
-    chunk (to that chunk's size, at most 32 MiB), and its trim threshold
-    with it (to twice that). A whole-map im2col buffer did that in the first
-    conv of a process. Blocked buffers never do, so the heap top was given
-    back and faulted in again on every pass: about 7000 minor faults and 20
-    ms of system time in a desk-width forward pass, 74000 and 180 ms in a
-    `verify` pass. Fixing both at their largest dynamic values gives every
-    process the state the whole-map buffers led to. Any C library but glibc
-    is left alone.
-    """
-    try:
-        glibc = os.confstr("CS_GNU_LIBC_VERSION")
-    except (AttributeError, ValueError, OSError):
-        glibc = None
-    if not glibc:
-        return
-    mallopt = ctypes.CDLL(None).mallopt
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
-    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
-
-
-_pin_malloc_thresholds()
 
 
 def _conv_blocks(Cout: int, Cin: int, taps: int, Hp: int, Wp: int) -> tuple[int, int]:

@@ -77,6 +77,15 @@ def _mistyped_config(rng: random.Random) -> tuple[dict, str]:
 
 
 CASES = [_raw_config(random.Random(FUZZ_SEED * 1000 + i)) for i in range(FUZZ_COUNT)]
+# Case i's test id is fixed by its index, so a change to the draws renames
+# no test and no two cases share an id. The first 48 keep the ids they had
+# when each was named by its seed % 1000; a case added later is "c<i>".
+_NAMED_IDS = (
+    "s897 s123 s599 s651 s734 s555 s6 s191 s15 s170 s416 s502 s663 s888 s506 s131 "
+    "s268 s851 s414 s198 s613 s867 s980 s360 s884 s293 s967 s465 s257 s204 s833 s432 "
+    "s617 s534 s492 s929 s451 s873 s114 s644 s938 s85 s750 s706 s837 s681 s803 s450"
+).split()
+CASE_IDS = [_NAMED_IDS[i] if i < len(_NAMED_IDS) else f"c{i}" for i in range(FUZZ_COUNT)]
 MISTYPED = [_mistyped_config(random.Random(FUZZ_SEED * 1000 + FUZZ_COUNT + i)) for i in range(12)]
 
 
@@ -88,7 +97,11 @@ def test_fuzz_covers_both_outcomes():
     assert any(_top_values(raw) == 2 for raw in accepted)
 
 
-@pytest.mark.parametrize("raw", CASES, ids=lambda raw: f"s{raw['seed'] % 1000}")
+def test_case_ids_are_distinct():
+    assert len(set(CASE_IDS)) == len(CASES)
+
+
+@pytest.mark.parametrize("raw", CASES, ids=CASE_IDS)
 def test_accepted_configs_pass_every_invariant(raw):
     problems = _expected_problems(raw)
     if problems:

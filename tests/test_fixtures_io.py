@@ -122,6 +122,17 @@ class TestSplitMix:
         with pytest.raises(ValueError, match="negative extent"):
             SplitMix64(1).standard_normal(shape)
 
+    @pytest.mark.parametrize("shape", [(2**62, 16, 64, 64), (2**64,)], ids=["prod-wraps", "2**64"])
+    def test_shape_too_large_to_draw_rejected(self, shape):
+        # the first one's element count wrapped to 0 in np.prod and the
+        # reshape failed; the second failed inside np.empty. Both now name
+        # the shape before the stream advances
+        gen = SplitMix64(1)
+        with pytest.raises(ValueError, match=rf"standard_normal: shape \({shape[0]},"):
+            gen.standard_normal(shape)
+        assert gen._drawn == 0
+        assert np.array_equal(gen.standard_normal((3,)), SplitMix64(1).standard_normal((3,)))
+
     def test_scalar_draw(self):
         assert SplitMix64(0).standard_normal(()).shape == ()
         assert SplitMix64(0).standard_normal(()) == SplitMix64(0).standard_normal((1,))[0]
